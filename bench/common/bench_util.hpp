@@ -70,8 +70,8 @@ inline void print_metrics_block(const std::string& name, const obs::MetricsRegis
 }
 
 inline void print_metrics_block(const std::string& name, obs::Tracer& tracer) {
-  // Fold the process-wide zero-copy counters in so net.batch_encode_count /
-  // net.batch_splices / net.batch_bytes_copied appear in the block.
+  // Fold the process-wide batch counters in so net.batch_encode_count /
+  // net.batch_bytes_copied appear in the block.
   tracer.sync_batch_stats();
   print_metrics_block(name, tracer.metrics());
   const auto& counters = tracer.metrics().counters();
@@ -81,15 +81,16 @@ inline void print_metrics_block(const std::string& name, obs::Tracer& tracer) {
   };
   const std::uint64_t delivered = counter("tob.deliveries");
   if (delivered > 0) {
-    // The zero-copy figure of merit: bytes of already-encoded batch content
-    // copied per delivered command. 0.00 means every hop spliced the
-    // original encode.
-    std::printf("  zero-copy: %.2f bytes copied per delivered command "
-                "(%llu encodes, %llu splices, %llu bytes copied)\n",
+    // The batch payload figures of merit, per delivered command: encodes
+    // (encode-once keeps this at most 1) and bytes of already-encoded batch
+    // content copied into the frames that carried it.
+    std::printf("  batch payload: %.2f encodes and %.2f bytes copied per delivered command "
+                "(%llu encodes, %llu bytes copied)\n",
+                static_cast<double>(counter("net.batch_encode_count")) /
+                    static_cast<double>(delivered),
                 static_cast<double>(counter("net.batch_bytes_copied")) /
                     static_cast<double>(delivered),
                 static_cast<unsigned long long>(counter("net.batch_encode_count")),
-                static_cast<unsigned long long>(counter("net.batch_splices")),
                 static_cast<unsigned long long>(counter("net.batch_bytes_copied")));
   }
   const auto& histograms = tracer.metrics().histograms();

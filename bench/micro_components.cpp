@@ -161,7 +161,7 @@ void BM_SnapshotSerialize50k(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotSerialize50k)->Unit(benchmark::kMillisecond);
 
-// --------------------------------------------------------------- zero-copy --
+// ----------------------------------------------------------- batch payload --
 
 consensus::Batch batch64() {
   consensus::Batch batch;
@@ -183,31 +183,19 @@ void BM_BatchEncode64(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchEncode64);
 
-void BM_BatchSplice64(benchmark::State& state) {
-  // What every further hop pays instead: re-framing the already-encoded
-  // batch by splicing its payload views (relay, re-propose, deliver).
+void BM_BatchFrame64(benchmark::State& state) {
+  // What every further hop pays instead: framing the already-encoded batch
+  // copies its payload into the frame's buffer (relay, re-propose, deliver).
   const consensus::EncodedBatch encoded{batch64()};
   for (auto _ : state) {
     BytesWriter w;
     wire::Codec<consensus::EncodedBatch>::encode(w, encoded);
-    benchmark::DoNotOptimize(w.take_segments());
+    benchmark::DoNotOptimize(w.take());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(encoded.payload_size()));
 }
-BENCHMARK(BM_BatchSplice64);
-
-void BM_BatchFlatten64(benchmark::State& state) {
-  // The copy the splice path avoids: gathering the same sub-frame into one
-  // contiguous staging buffer.
-  const consensus::EncodedBatch encoded{batch64()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(encoded.payload().flatten());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(encoded.payload_size()));
-}
-BENCHMARK(BM_BatchFlatten64);
+BENCHMARK(BM_BatchFrame64);
 
 // ------------------------------------------------------------- distributed --
 

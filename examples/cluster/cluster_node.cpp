@@ -359,7 +359,8 @@ int run_node(const Args& args) {
         }
       }
       if (args.pipelined) {
-        // The zero-copy and coalescing proof obligations of pipelined mode.
+        // Pipelined-mode bookkeeping: batch bytes copied into frames (nonzero:
+        // each frame carrying a batch copies its payload once) and coalescing.
         std::printf("host %u: batch bytes copied %llu, writev %llu calls / %llu records, "
                     "tob batch limit %zu\n",
                     args.host,

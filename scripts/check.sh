@@ -14,10 +14,13 @@
 #     layers must stay sharding-blind (no ShardRouter/GroupId) and
 #     replication-blind (no repl/ includes), src/repl must never include
 #     sim/ or net/tcp, the versioned storage engine (src/db) must
-#     never include consensus/, tob/, or repl/ headers, and state transfer
-#     keeps a single stream format;
+#     never include consensus/, tob/, or repl/ headers, state transfer
+#     keeps a single stream format, and each message stays one contiguous
+#     buffer (no scatter-gather byte layer);
 #   * an ASan+UBSan build of the whole tree with the test suites run under
-#     it (the zero-copy payload path lives or dies by buffer ownership);
+#     it (decoded batches are views into received frames shared across
+#     the I/O, consensus and executor threads, so buffer ownership must
+#     hold);
 #   * a TSan build of the threaded suites — the SPSC ring unit tests and the
 #     pipelined TCP cluster end-to-end test — so the three-stage pipeline's
 #     cross-thread hand-offs stay provably race-free;
@@ -99,6 +102,14 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "FAIL: a second snapshot stream format is back (use repl::StateTransfer::send_v2)" >&2
     exit 1
   fi
+  # One contiguous buffer per message: make_msg writes the whole frame once,
+  # and framing a batch copies its encoded bytes. The scatter-gather layer
+  # (segmented byte strings, writer splices, the segmented twins of the
+  # codec, frame and registry functions) must not come back.
+  if grep -rn 'SegmentedBytes\|splice(\|_segments(\|encoded_view\.hpp' src; then
+    echo "FAIL: the scatter-gather byte layer is back (one contiguous buffer per message)" >&2
+    exit 1
+  fi
 
   echo "== strict: -Wall -Wextra -Werror build of shadow_net + shadow_obs + shadow_wire =="
   cmake -B build-strict -S . \
@@ -106,9 +117,9 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build build-strict -j --target shadow_net shadow_obs shadow_wire
 
   echo "== sanitizers: ASan+UBSan build + unit suites =="
-  # The zero-copy payload path is all shared buffers and borrowed views:
-  # address/UB sanitizers are the cheapest way to prove no view outlives its
-  # owner and no splice aliases freed memory.
+  # Decoded batches are views into shared frame buffers, and borrowed views
+  # point into caller storage: address/UB sanitizers are the cheapest way to
+  # prove no view outlives its owner.
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \

@@ -1,19 +1,16 @@
-// Byte-oriented serialization and the zero-copy payload primitives.
+// Byte-oriented serialization and the shared immutable buffer type.
 //
 // ShadowDB's state transfer protocol ships database snapshots as batches of
 // serialized rows (~50 KB per batch in the paper). BytesWriter/BytesReader
-// implement a compact little-endian wire format used by snapshots and by
-// message-size accounting in the simulator.
+// implement a compact little-endian wire format used by every message body,
+// by snapshots, and by message-size accounting in the simulator.
 //
-// Zero-copy path: a payload that was encoded once can travel as a ByteView —
-// an offset/length view into a shared immutable buffer (OwnedBytes). A
-// BytesWriter can *splice* such a view into its output without copying it,
-// producing a SegmentedBytes (an ordered list of views) instead of one
-// contiguous buffer; a BytesReader can read across the segments and hand
-// sub-ranges back out as views that share the source buffer. Consensus
-// batches use this to be encoded exactly once per lifetime (see
-// consensus::EncodedBatch); splice_stats() counts the encodes, splices, and
-// any copies the path could not avoid.
+// Ownership: a message is one contiguous OwnedBytes buffer (its whole wire
+// frame). A ByteView is an owner plus a span into it; BytesReader hands
+// sub-ranges of an owned input back out as views that share the buffer, so
+// a decoded consensus batch keeps pointing into the frame it arrived in.
+// Batches are encoded exactly once (consensus::EncodedBatch); framing one
+// copies its already-encoded bytes, and splice_stats() counts both.
 #pragma once
 
 #include <algorithm>
@@ -34,38 +31,31 @@ namespace shadow {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/// Shared immutable byte buffer: the ownership unit of the zero-copy path.
+/// Shared immutable byte buffer: one message frame, or one encoded batch.
 /// Everyone holding a view keeps the buffer alive; nobody can mutate it.
 using OwnedBytes = std::shared_ptr<const Bytes>;
 
-/// Process-wide counters for the zero-copy payload path (exposed to metrics
-/// as net.batch_encode_count / net.batch_splices / net.batch_bytes_copied).
-/// The counters are atomic because a pipelined node encodes on the consensus
-/// thread while decode-side accounting can run on the I/O or executor
-/// thread; copies (for baselining/diffing) take relaxed snapshots.
+/// Process-wide counters for the batch payload path (exposed to metrics as
+/// net.batch_encode_count / net.batch_bytes_copied). The counters are atomic
+/// because a pipelined node encodes on the consensus thread while decode-side
+/// accounting can run on the I/O or executor thread; copies (for
+/// baselining/diffing) take relaxed snapshots.
 struct SpliceStats {
   /// Command-region serializations: how often batch commands were encoded
-  /// from their structured form. The zero-copy invariant is one per batch
+  /// from their structured form. The encode-once invariant is one per batch
   /// lifetime, no matter how many hops/re-proposals/relays the batch takes.
   std::atomic<std::uint64_t> batch_encodes{0};
-  /// Pre-encoded views spliced into writers instead of being re-encoded.
-  std::atomic<std::uint64_t> batch_splices{0};
-  /// Bytes of already-encoded content copied into a contiguous staging
-  /// buffer (SegmentedBytes::flatten, BytesWriter::take with spliced
-  /// segments, BytesReader::take_segments over borrowed memory). Zero on the
-  /// clean send/relay/re-propose paths; nonzero only under fault injection
-  /// or legacy contiguous consumers.
+  /// Bytes of already-encoded batch content copied into another buffer:
+  /// every frame that carries a batch copies its command region once, and a
+  /// proposal that folds in relayed batches copies theirs.
   std::atomic<std::uint64_t> batch_bytes_copied{0};
 
   SpliceStats() = default;
   SpliceStats(const SpliceStats& other)
       : batch_encodes(other.batch_encodes.load(std::memory_order_relaxed)),
-        batch_splices(other.batch_splices.load(std::memory_order_relaxed)),
         batch_bytes_copied(other.batch_bytes_copied.load(std::memory_order_relaxed)) {}
   SpliceStats& operator=(const SpliceStats& other) {
     batch_encodes.store(other.batch_encodes.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    batch_splices.store(other.batch_splices.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
     batch_bytes_copied.store(other.batch_bytes_copied.load(std::memory_order_relaxed),
                              std::memory_order_relaxed);
@@ -80,154 +70,64 @@ inline SpliceStats& splice_stats() {
   return stats;
 }
 
-/// An immutable view of a byte range. Owned views share an OwnedBytes buffer
-/// and may outlive their creator; borrowed views (made from a raw span) are
-/// only valid while the underlying storage is.
+/// An immutable view of a byte range: an owner plus a span. Owned views
+/// share an OwnedBytes buffer and may outlive their creator; borrowed views
+/// (made from a raw span) are only valid while the underlying storage is.
+/// Views compare by content, byte-lexicographically.
 class ByteView {
  public:
   ByteView() = default;
 
   ByteView(OwnedBytes buffer, std::size_t offset, std::size_t len) : owner_(std::move(buffer)) {
     SHADOW_REQUIRE(owner_ != nullptr && offset + len <= owner_->size());
-    data_ = owner_->data() + offset;
-    len_ = len;
+    span_ = std::span<const std::uint8_t>(*owner_).subspan(offset, len);
   }
 
   static ByteView borrowed(std::span<const std::uint8_t> data) {
     ByteView v;
-    v.data_ = data.data();
-    v.len_ = data.size();
+    v.span_ = data;
     return v;
   }
 
   static ByteView owning(Bytes&& bytes) {
     auto owner = std::make_shared<const Bytes>(std::move(bytes));
     const std::size_t n = owner->size();
-    ByteView v;
-    v.data_ = owner->data();
-    v.len_ = n;
-    v.owner_ = std::move(owner);
-    return v;
+    return ByteView(std::move(owner), 0, n);
   }
 
-  std::span<const std::uint8_t> span() const { return {data_, len_}; }
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return len_; }
-  bool empty() const { return len_ == 0; }
+  std::span<const std::uint8_t> span() const { return span_; }
+  const std::uint8_t* data() const { return span_.data(); }
+  std::size_t size() const { return span_.size(); }
+  bool empty() const { return span_.empty(); }
   /// Whether this view keeps its buffer alive (false: borrowed).
   bool owned() const { return owner_ != nullptr; }
   const OwnedBytes& owner() const { return owner_; }
 
   /// A sub-view sharing the same buffer (no copy).
   ByteView subview(std::size_t offset, std::size_t len) const {
-    SHADOW_REQUIRE(offset + len <= len_);
+    SHADOW_REQUIRE(offset + len <= size());
     ByteView v;
     v.owner_ = owner_;
-    v.data_ = data_ + offset;
-    v.len_ = len;
+    v.span_ = span_.subspan(offset, len);
     return v;
+  }
+
+  friend std::strong_ordering operator<=>(const ByteView& a, const ByteView& b) {
+    const std::size_t common = std::min(a.size(), b.size());
+    const int c = common == 0 ? 0 : std::memcmp(a.data(), b.data(), common);
+    if (c != 0) return c < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
+    return a.size() <=> b.size();
+  }
+  friend bool operator==(const ByteView& a, const ByteView& b) {
+    return a.size() == b.size() && (a <=> b) == std::strong_ordering::equal;
   }
 
  private:
   OwnedBytes owner_;  // null for borrowed views
-  const std::uint8_t* data_ = nullptr;
-  std::size_t len_ = 0;
+  std::span<const std::uint8_t> span_;
 };
 
-/// An ordered sequence of byte views behaving as one logical byte string.
-/// This is what a spliced encoding produces: owned segments for the freshly
-/// written parts, shared views for the spliced pre-encoded parts. Comparison
-/// is by content (segment boundaries are invisible).
-class SegmentedBytes {
- public:
-  SegmentedBytes() = default;
-  explicit SegmentedBytes(ByteView view) { append(std::move(view)); }
-
-  void append(ByteView view) {
-    if (view.empty()) return;
-    size_ += view.size();
-    segs_.push_back(std::move(view));
-  }
-  void append_owned(Bytes&& bytes) {
-    if (bytes.empty()) return;
-    append(ByteView::owning(std::move(bytes)));
-  }
-  void append(const SegmentedBytes& other) {
-    for (const ByteView& s : other.segs_) append(s);
-  }
-
-  const std::vector<ByteView>& segments() const { return segs_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  /// Copies every segment into one contiguous buffer. This is exactly the
-  /// copy the zero-copy path exists to avoid, so it is counted in
-  /// splice_stats().batch_bytes_copied; only fault injection and legacy
-  /// contiguous consumers should reach it.
-  Bytes flatten() const {
-    splice_stats().batch_bytes_copied += size_;
-    Bytes out;
-    out.reserve(size_);
-    for (const ByteView& s : segs_) out.insert(out.end(), s.data(), s.data() + s.size());
-    return out;
-  }
-
-  /// The sub-sequence [offset, offset+len), sharing the source buffers.
-  SegmentedBytes subrange(std::size_t offset, std::size_t len) const {
-    SHADOW_REQUIRE(offset + len <= size_);
-    SegmentedBytes out;
-    for (const ByteView& s : segs_) {
-      if (len == 0) break;
-      if (offset >= s.size()) {
-        offset -= s.size();
-        continue;
-      }
-      const std::size_t m = std::min(len, s.size() - offset);
-      out.append(s.subview(offset, m));
-      offset = 0;
-      len -= m;
-    }
-    return out;
-  }
-
-  /// Lexicographic content comparison, streamed across segment boundaries
-  /// (two equal byte strings compare equal however they are segmented).
-  std::strong_ordering operator<=>(const SegmentedBytes& other) const {
-    std::size_t ai = 0, ap = 0, bi = 0, bp = 0;
-    while (true) {
-      while (ai < segs_.size() && ap == segs_[ai].size()) {
-        ++ai;
-        ap = 0;
-      }
-      while (bi < other.segs_.size() && bp == other.segs_[bi].size()) {
-        ++bi;
-        bp = 0;
-      }
-      const bool a_done = ai == segs_.size();
-      const bool b_done = bi == other.segs_.size();
-      if (a_done || b_done) {
-        if (a_done && b_done) return std::strong_ordering::equal;
-        return a_done ? std::strong_ordering::less : std::strong_ordering::greater;
-      }
-      const std::size_t m =
-          std::min(segs_[ai].size() - ap, other.segs_[bi].size() - bp);
-      const int c = std::memcmp(segs_[ai].data() + ap, other.segs_[bi].data() + bp, m);
-      if (c != 0) return c < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
-      ap += m;
-      bp += m;
-    }
-  }
-  bool operator==(const SegmentedBytes& other) const {
-    return size_ == other.size_ && (*this <=> other) == std::strong_ordering::equal;
-  }
-
- private:
-  std::vector<ByteView> segs_;
-  std::size_t size_ = 0;
-};
-
-/// Appends primitive values to a growing byte buffer; pre-encoded views can
-/// be spliced in without copying, turning the output into a SegmentedBytes.
+/// Appends primitive values to one growing byte buffer.
 class BytesWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -257,80 +157,25 @@ class BytesWriter {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
-  /// Splices a pre-encoded view into the output without copying it: the
-  /// bytes written so far become an owned segment, the view rides along by
-  /// reference. Decoders must consume the spliced range as a unit (the
-  /// sub-frame protocol's length prefix guarantees this).
-  void splice(ByteView view) {
-    if (view.empty()) return;
-    ++splice_stats().batch_splices;
-    flush();
-    out_.append(std::move(view));
-  }
-  void splice(const SegmentedBytes& views) {
-    if (views.empty()) return;
-    ++splice_stats().batch_splices;
-    flush();
-    out_.append(views);
-  }
-
-  std::size_t size() const { return out_.size() + buf_.size(); }
-
-  /// Contiguous result. When views were spliced this has to copy them into
-  /// one buffer (counted in splice_stats); zero-copy consumers use
-  /// take_segments() instead.
-  Bytes take() {
-    if (out_.empty()) return std::move(buf_);
-    flush();
-    return out_.flatten();
-  }
-
-  /// The segmented result: spliced views stay by-reference.
-  SegmentedBytes take_segments() {
-    flush();
-    return std::move(out_);
-  }
-
-  const Bytes& peek() const {
-    SHADOW_CHECK_MSG(out_.empty(), "peek on a writer with spliced segments");
-    return buf_;
-  }
+  std::size_t size() const { return buf_.size(); }
+  Bytes take() { return std::move(buf_); }
+  const Bytes& peek() const { return buf_; }
 
  private:
-  void flush() {
-    if (buf_.empty()) return;
-    out_.append_owned(std::move(buf_));
-    buf_.clear();
-  }
-
   Bytes buf_;
-  SegmentedBytes out_;
 };
 
-/// Reads primitive values back; throws InvariantViolation on truncation.
-/// Reads over segmented input never straddle a splice boundary: encoders
-/// flush exactly at splice points and decoders mirror the encoder's field
-/// order, so a straddling read means corrupt input (or a codec bug) and
-/// trips the same truncation check.
+/// Reads primitive values back from one span; throws InvariantViolation on
+/// truncation. A reader over an owned view hands out sub-views that share
+/// its buffer (take_view).
 class BytesReader {
  public:
-  explicit BytesReader(std::span<const std::uint8_t> data) {
-    if (!data.empty()) segs_.push_back(ByteView::borrowed(data));
-    for (const ByteView& s : segs_) remaining_ += s.size();
-  }
-  explicit BytesReader(ByteView view) {
-    if (!view.empty()) segs_.push_back(std::move(view));
-    for (const ByteView& s : segs_) remaining_ += s.size();
-  }
-  explicit BytesReader(const SegmentedBytes& data) : segs_(data.segments()) {
-    remaining_ = data.size();
-  }
+  explicit BytesReader(std::span<const std::uint8_t> data) : src_(ByteView::borrowed(data)) {}
+  explicit BytesReader(ByteView view) : src_(std::move(view)) {}
 
   std::uint8_t u8() {
     need(1);
-    const std::uint8_t v = *cursor();
-    advance(1);
-    return v;
+    return src_.data()[pos_++];
   }
 
   std::uint32_t u32() {
@@ -338,7 +183,7 @@ class BytesReader {
     std::uint32_t v = 0;
     const std::uint8_t* p = cursor();
     for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    advance(4);
+    pos_ += 4;
     return v;
   }
 
@@ -347,7 +192,7 @@ class BytesReader {
     std::uint64_t v = 0;
     const std::uint8_t* p = cursor();
     for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    advance(8);
+    pos_ += 8;
     return v;
   }
 
@@ -365,63 +210,39 @@ class BytesReader {
     if (n == 0) return {};
     need(n);
     std::string s(reinterpret_cast<const char*>(cursor()), n);
-    advance(n);
+    pos_ += n;
     return s;
   }
 
-  /// Takes the next `n` bytes as views sharing the source buffers — the
-  /// zero-copy read for spliced sub-frames. Borrowed input (raw spans) is
-  /// materialized into an owned copy so the result can outlive the caller's
-  /// buffer; that copy is counted in splice_stats().
-  SegmentedBytes take_segments(std::size_t n) {
-    SegmentedBytes out;
-    while (n > 0) {
-      hop();
-      SHADOW_CHECK_MSG(cur_ < segs_.size(), "truncated byte buffer");
-      const ByteView& seg = segs_[cur_];
-      const std::size_t m = std::min(n, seg.size() - pos_);
-      if (seg.owned()) {
-        out.append(seg.subview(pos_, m));
-      } else {
-        splice_stats().batch_bytes_copied += m;
-        out.append(ByteView::owning(Bytes(seg.data() + pos_, seg.data() + pos_ + m)));
-      }
-      pos_ += m;
-      remaining_ -= m;
-      n -= m;
+  /// Takes the next `n` bytes as a view. Over owned input the view shares
+  /// the source buffer; borrowed input (a raw span) is copied into an owned
+  /// buffer so the result can outlive the caller's storage, and that copy is
+  /// counted in splice_stats().batch_bytes_copied.
+  ByteView take_view(std::size_t n) {
+    need(n);
+    ByteView out;
+    if (src_.owned()) {
+      out = src_.subview(pos_, n);
+    } else {
+      splice_stats().batch_bytes_copied += n;
+      out = ByteView::owning(Bytes(cursor(), cursor() + n));
     }
+    pos_ += n;
     return out;
   }
 
-  bool done() const { return remaining_ == 0; }
-  std::size_t remaining() const { return remaining_; }
+  bool done() const { return pos_ == src_.size(); }
+  std::size_t remaining() const { return src_.size() - pos_; }
 
  private:
-  void hop() {
-    while (cur_ < segs_.size() && pos_ == segs_[cur_].size()) {
-      ++cur_;
-      pos_ = 0;
-    }
+  void need(std::size_t n) const {
+    SHADOW_CHECK_MSG(n <= remaining(), "truncated byte buffer");
   }
 
-  void need(std::size_t n) {
-    if (n == 0) return;  // a zero-length read is valid even at end-of-buffer
-    hop();
-    SHADOW_CHECK_MSG(cur_ < segs_.size() && pos_ + n <= segs_[cur_].size(),
-                     "truncated byte buffer");
-  }
+  const std::uint8_t* cursor() const { return src_.data() + pos_; }
 
-  const std::uint8_t* cursor() const { return segs_[cur_].data() + pos_; }
-
-  void advance(std::size_t n) {
-    pos_ += n;
-    remaining_ -= n;
-  }
-
-  std::vector<ByteView> segs_;
-  std::size_t cur_ = 0;
+  ByteView src_;
   std::size_t pos_ = 0;
-  std::size_t remaining_ = 0;
 };
 
 }  // namespace shadow

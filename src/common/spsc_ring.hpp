@@ -1,8 +1,8 @@
 // A bounded single-producer/single-consumer ring buffer for crossing the
 // pipeline's thread boundaries (I/O ↔ consensus ↔ executor).
 //
-// Values move through the ring — an `EncodedBatch` crosses by shared_ptr
-// splice, so zero payload bytes are copied at the boundary. The ring is
+// Values move through the ring — an `EncodedBatch` crosses by shared_ptr,
+// so no payload byte is copied at the boundary. The ring is
 // deliberately a mutex + two condvars rather than a lock-free queue: the
 // pipeline's stage threads block when they have nothing to do (no spinning
 // on an otherwise idle replica), the mutex hand-off gives every popped value

@@ -19,15 +19,15 @@ namespace shadow::consensus {
 class ConsensusModule {
  public:
   /// Decisions carry the batch in its encoded sub-frame form: the bytes are
-  /// the ones that travelled (zero-copy), and `.commands()` decodes on
+  /// the ones that travelled (never re-encoded), and `.commands()` decodes on
   /// demand (memoized).
   using DecideFn = std::function<void(net::NodeContext&, Slot, const EncodedBatch&)>;
 
   virtual ~ConsensusModule() = default;
 
   /// Propose `batch` for `slot` on behalf of this node. The batch is already
-  /// encoded; the module splices its bytes into every message that carries
-  /// it (propose forward, 2a, vote, re-proposal, decision).
+  /// encoded; the module copies its bytes into every message that carries
+  /// it (propose forward, 2a, vote, re-proposal, decision), never re-encoding.
   virtual void propose(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) = 0;
 
   /// Offers an incoming message; returns true if consumed.

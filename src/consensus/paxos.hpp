@@ -114,7 +114,7 @@ class PaxosModule final : public ConsensusModule {
   struct Commander {
     Ballot ballot;
     Slot slot = 0;
-    EncodedBatch batch;  // the original encoded bytes, spliced into every 2a
+    EncodedBatch batch;  // the original encoded bytes, framed into every 2a
     std::set<std::uint32_t> waitfor;
     net::Time last_sent = 0;                  // for 2a retransmission
   };
@@ -122,7 +122,7 @@ class PaxosModule final : public ConsensusModule {
     Ballot ballot;
     bool active = false;
     // Proposals keep the received sub-frame: a re-proposal after adoption
-    // (leader change) splices the same bytes the old leader sent.
+    // (leader change) frames the same bytes the old leader sent.
     std::map<Slot, EncodedBatch> proposals;
     std::optional<Scout> scout;
     std::map<Slot, Commander> commanders;  // one in-flight commander per slot

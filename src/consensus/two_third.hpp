@@ -67,7 +67,7 @@ class TwoThirdModule final : public ConsensusModule {
     std::uint64_t round = 0;
     std::optional<EncodedBatch> estimate;
     // votes[round][peer index] = batch (in encoded sub-frame form: adopting
-    // or re-voting a received estimate splices the original bytes)
+    // or re-voting a received estimate frames the original bytes)
     std::map<std::uint64_t, std::map<std::uint32_t, EncodedBatch>> votes;
     std::optional<EncodedBatch> decision;
     net::Time last_sent = 0;

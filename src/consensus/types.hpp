@@ -1,7 +1,7 @@
 // Shared types for the consensus modules and the total order broadcast
 // service: commands, batches (one batch is decided per consensus instance /
-// slot), Paxos ballots, and the zero-copy EncodedBatch sub-frame that lets a
-// batch be serialized exactly once per lifetime.
+// slot), Paxos ballots, and the EncodedBatch sub-frame that lets a batch be
+// serialized exactly once per lifetime.
 #pragma once
 
 #include <compare>
@@ -15,7 +15,6 @@
 #include "common/check.hpp"
 #include "common/ids.hpp"
 #include "wire/codec.hpp"
-#include "wire/encoded_view.hpp"
 
 namespace shadow::consensus {
 
@@ -99,9 +98,10 @@ namespace shadow::consensus {
 /// A batch serialized exactly once, travelling thereafter as an immutable,
 /// ref-counted encoded sub-frame. Every carrier of a batch (Paxos propose /
 /// 2a / 1b re-proposals / decisions, TwoThird votes, tob relay and deliver)
-/// holds one of these: re-framing a received batch splices the original
-/// bytes by reference instead of re-encoding, and the decoded commands are
-/// materialized on demand (memoized — a decode, never a second encode).
+/// holds one of these: framing a received batch again copies its encoded
+/// bytes into the new frame instead of re-encoding the commands, and the
+/// decoded commands are materialized on demand (memoized — a decode, never a
+/// second encode).
 ///
 /// The payload is the command region only; the count travels alongside it
 /// (the sub-frame wire form is `[count u32][payload_len u32][payload]`), so
@@ -116,7 +116,7 @@ class EncodedBatch {
 
   /// THE one encode of a batch's lifetime: serializes the commands into a
   /// fresh shared buffer and caches the decoded form. Counted in
-  /// wire::batch_stats().batch_encodes.
+  /// splice_stats().batch_encodes.
   explicit EncodedBatch(Batch commands) {
     if (commands.empty()) return;
     BytesWriter w;
@@ -124,14 +124,14 @@ class EncodedBatch {
     ++splice_stats().batch_encodes;
     auto rep = std::make_shared<Rep>();
     rep->count = static_cast<std::uint32_t>(commands.size());
-    rep->payload = w.take_segments();
+    rep->payload = ByteView::owning(w.take());
     rep->commands = std::move(commands);
     rep_ = std::move(rep);
   }
 
   /// Wraps an already-encoded command region (a received sub-frame or a
   /// BatchBuilder result). Not an encode: the bytes already exist.
-  static EncodedBatch from_wire(std::uint32_t count, wire::SegmentedBytes payload) {
+  static EncodedBatch from_wire(std::uint32_t count, ByteView payload) {
     EncodedBatch b;
     if (count == 0) {
       SHADOW_CHECK_MSG(payload.empty(), "empty batch with non-empty payload");
@@ -149,8 +149,8 @@ class EncodedBatch {
   bool empty() const { return rep_ == nullptr; }
 
   /// The encoded command region (no count prefix), shared by reference.
-  const wire::SegmentedBytes& payload() const {
-    static const wire::SegmentedBytes kEmpty;
+  const ByteView& payload() const {
+    static const ByteView kEmpty;
     return rep_ ? rep_->payload : kEmpty;
   }
   std::size_t payload_size() const { return rep_ ? rep_->payload.size() : 0; }
@@ -189,17 +189,17 @@ class EncodedBatch {
  private:
   struct Rep {
     std::uint32_t count = 0;
-    wire::SegmentedBytes payload;
+    ByteView payload;
     mutable std::optional<Batch> commands;  // memoized decode
   };
   std::shared_ptr<const Rep> rep_;
 };
 
 /// Merges pre-encoded batches and fresh commands into one EncodedBatch:
-/// spliced inputs ride along by reference (counted as splices), fresh
-/// commands are serialized once (counted as a single encode per build). This
-/// is how tob's leader folds relayed sub-frames and local commands into one
-/// proposal without re-encoding the relayed bytes.
+/// pre-encoded inputs are copied in as bytes (counted in batch_bytes_copied,
+/// never re-encoded), fresh commands are serialized once (counted as a
+/// single encode per build). This is how tob's leader folds relayed
+/// sub-frames and local commands into one proposal.
 class BatchBuilder {
  public:
   void add(const Command& cmd) {
@@ -210,7 +210,8 @@ class BatchBuilder {
 
   void add(const EncodedBatch& batch) {
     if (batch.empty()) return;
-    w_.splice(batch.payload());
+    w_.raw(batch.payload().span());
+    splice_stats().batch_bytes_copied += batch.payload_size();
     count_ += batch.size();
   }
 
@@ -219,7 +220,7 @@ class BatchBuilder {
 
   EncodedBatch build() {
     if (fresh_) ++splice_stats().batch_encodes;
-    return EncodedBatch::from_wire(count_, w_.take_segments());
+    return EncodedBatch::from_wire(count_, ByteView::owning(w_.take()));
   }
 
  private:
@@ -244,20 +245,23 @@ inline std::string to_string(const EncodedBatch& b) {
 namespace shadow::wire {
 
 /// The sub-frame protocol: `[count u32][payload_len u32][payload bytes]`.
-/// Encoding splices the payload by reference (zero-copy); decoding takes the
-/// payload as views sharing the received frame's buffer, so the batch can be
-/// re-framed later — relay, re-propose, deliver — without ever re-encoding.
+/// Encoding copies the already-encoded payload into the frame (counted in
+/// batch_bytes_copied; the commands are never serialized again); decoding
+/// takes the payload as a view sharing the received frame's buffer, so the
+/// batch can be framed again later — relay, re-propose, deliver — without
+/// ever re-encoding.
 template <>
 struct Codec<consensus::EncodedBatch> {
   static void encode(BytesWriter& w, const consensus::EncodedBatch& v) {
     w.u32(v.size());
     w.u32(static_cast<std::uint32_t>(v.payload_size()));
-    w.splice(v.payload());
+    w.raw(v.payload().span());
+    splice_stats().batch_bytes_copied += v.payload_size();
   }
   static consensus::EncodedBatch decode(BytesReader& r) {
     const std::uint32_t count = r.u32();
     const std::uint32_t len = r.u32();
-    return consensus::EncodedBatch::from_wire(count, r.take_segments(len));
+    return consensus::EncodedBatch::from_wire(count, r.take_view(len));
   }
 };
 

@@ -97,12 +97,14 @@ void ChainReplica::on_message(net::NodeContext& ctx, const net::Message& msg) {
   if (msg.header == kSnapBegin2Header) {
     const auto& body = net::msg_body<repl::SnapBegin2Body>(msg);
     if (body.config != config_seq_) return;
+    last_stream_frame_ = ctx.now();
     snap_rx_.begin_v2(executor_.engine(), body);
     install_snapshot_dedup(executor_, body);
     return;
   }
   if (msg.header == kSnapBatch2Header) {
     const auto& body = net::msg_body<repl::SnapBatch2Body>(msg);
+    last_stream_frame_ = ctx.now();
     if (!snap_rx_.on_batch2(ctx, executor_.engine(), body, msg.from)) snap_rx_.reset();
     return;
   }
@@ -112,8 +114,7 @@ void ChainReplica::on_message(net::NodeContext& ctx, const net::Message& msg) {
     if (!snap_rx_.awaiting() || !snap_rx_.complete(done)) {
       // A stream with a lost or malformed frame is never installed. Presenting
       // our position again makes the source send a fresh one.
-      snap_rx_.reset();
-      ctx.send(msg.from, net::make_msg(kChainElectHeader, ElectBody{config_seq_, executed_order_}));
+      refetch_state(ctx, msg.from);
       return;
     }
     executed_order_ = snap_rx_.finish(executor_.engine());
@@ -315,7 +316,9 @@ void ChainReplica::maybe_finish_election(net::NodeContext& ctx) {
     }
   }
   if (source != self_) {
+    source_ = source;
     state_ = executed_order_ == best ? State::kNormal : State::kRecovering;
+    last_stream_frame_ = ctx.now();
     if (state_ == State::kNormal) {
       ctx.send(source,
                net::make_msg(kChainRecoveredHeader, ReplAckBody{config_seq_, executed_order_}));
@@ -339,6 +342,12 @@ void ChainReplica::maybe_finish_election(net::NodeContext& ctx) {
   }
   accepting_ = recovered_.size() >= chain_.size() - 1;
   (void)up_to_date;
+}
+
+void ChainReplica::refetch_state(net::NodeContext& ctx, NodeId sender) {
+  snap_rx_.reset();
+  last_stream_frame_ = ctx.now();
+  ctx.send(sender, net::make_msg(kChainElectHeader, ElectBody{config_seq_, executed_order_}));
 }
 
 void ChainReplica::send_state_to(net::NodeContext& ctx, NodeId member, std::uint64_t member_seq) {
@@ -367,6 +376,12 @@ void ChainReplica::send_state_to(net::NodeContext& ctx, NodeId member, std::uint
 // ----------------------------------------------------------- failure detection --
 
 void ChainReplica::on_heartbeat_tick(net::NodeContext& ctx) {
+  if (state_ == State::kRecovering &&
+      ctx.now() - last_stream_frame_ >= config_.suspect_timeout) {
+    // No catch-up or stream frame for a whole suspicion interval: the
+    // transfer was lost (a done frame, say). Ask the source again.
+    refetch_state(ctx, source_);
+  }
   if (state_ == State::kNormal || state_ == State::kElecting ||
       state_ == State::kRecovering) {
     for (NodeId member : chain_) {

@@ -88,6 +88,9 @@ class ChainReplica {
   void on_elect(net::NodeContext& ctx, NodeId from, const ElectBody& elect);
   void maybe_finish_election(net::NodeContext& ctx);
   void send_state_to(net::NodeContext& ctx, NodeId member, std::uint64_t member_seq);
+  /// Recovering member: drops any partial stream and presents its position
+  /// to `sender` again, which answers with a fresh catch-up or snapshot.
+  void refetch_state(net::NodeContext& ctx, NodeId sender);
   void on_heartbeat_tick(net::NodeContext& ctx);
   void suspect_and_propose(net::NodeContext& ctx, const std::vector<NodeId>& suspects);
   void execute_and_cache(net::NodeContext& ctx, std::uint64_t order,
@@ -114,6 +117,8 @@ class ChainReplica {
   std::map<ConfigSeq, std::map<std::uint32_t, std::uint64_t>> pending_elects_;
   std::deque<ForwardBody> buffered_forwards_;
   repl::StateTransfer::Receiver snap_rx_;
+  NodeId source_{};                  // recovering: the election's state source
+  net::Time last_stream_frame_ = 0;  // recovering: last sign of the transfer
   std::set<std::uint32_t> recovered_;
   bool accepting_ = true;
 

@@ -101,12 +101,14 @@ void PbrReplica::on_message(net::NodeContext& ctx, const net::Message& msg) {
   if (msg.header == kSnapBegin2Header) {
     const auto& body = net::msg_body<repl::SnapBegin2Body>(msg);
     if (body.config != config_seq_) return;
+    last_stream_frame_ = ctx.now();
     snap_rx_.begin_v2(executor_.engine(), body);
     install_snapshot_dedup(executor_, body);
     return;
   }
   if (msg.header == kSnapBatch2Header) {
     const auto& body = net::msg_body<repl::SnapBatch2Body>(msg);
+    last_stream_frame_ = ctx.now();
     if (!snap_rx_.on_batch2(ctx, executor_.engine(), body, msg.from)) snap_rx_.reset();
     return;
   }
@@ -116,8 +118,7 @@ void PbrReplica::on_message(net::NodeContext& ctx, const net::Message& msg) {
     if (!snap_rx_.awaiting() || !snap_rx_.complete(done)) {
       // A stream with a lost or malformed frame is never installed. Presenting
       // our position again makes the primary send a fresh one.
-      snap_rx_.reset();
-      ctx.send(msg.from, net::make_msg(kPbrElectHeader, ElectBody{config_seq_, executed_order_}));
+      refetch_state(ctx, msg.from);
       return;
     }
     executed_order_ = snap_rx_.finish(executor_.engine());
@@ -331,6 +332,7 @@ void PbrReplica::maybe_finish_election(net::NodeContext& ctx) {
     // then we are recovering (we might already be fully up to date — the
     // primary sends an empty catch-up in that case).
     state_ = executed_order_ == best ? State::kNormal : State::kRecovering;
+    last_stream_frame_ = ctx.now();
     if (state_ == State::kNormal) {
       ctx.send(primary_, net::make_msg(kPbrRecoveredHeader, AckBody{config_seq_, executed_order_}));
     }
@@ -378,6 +380,12 @@ void PbrReplica::send_state_to(net::NodeContext& ctx, NodeId backup, std::uint64
   repl::StateTransfer::send_v2(ctx, executor_.engine(), backup, std::move(spec));
 }
 
+void PbrReplica::refetch_state(net::NodeContext& ctx, NodeId sender) {
+  snap_rx_.reset();
+  last_stream_frame_ = ctx.now();
+  ctx.send(sender, net::make_msg(kPbrElectHeader, ElectBody{config_seq_, executed_order_}));
+}
+
 void PbrReplica::backup_recovered(net::NodeContext& ctx, NodeId backup) {
   (void)ctx;
   if (!contains(members_, backup) || primary_ != self_) return;
@@ -387,6 +395,12 @@ void PbrReplica::backup_recovered(net::NodeContext& ctx, NodeId backup) {
 // --------------------------------------------------------- failure detection --
 
 void PbrReplica::on_heartbeat_tick(net::NodeContext& ctx) {
+  if (state_ == State::kRecovering &&
+      ctx.now() - last_stream_frame_ >= config_.suspect_timeout) {
+    // No catch-up or stream frame for a whole suspicion interval: the
+    // transfer was lost (a done frame, say). Ask the primary again.
+    refetch_state(ctx, primary_);
+  }
   if (state_ == State::kNormal || state_ == State::kElecting ||
       state_ == State::kRecovering) {
     for (NodeId member : members_) {

@@ -110,6 +110,9 @@ class PbrReplica {
   void maybe_finish_election(net::NodeContext& ctx);
   void start_backup_recovery(net::NodeContext& ctx);
   void send_state_to(net::NodeContext& ctx, NodeId backup, std::uint64_t backup_seq);
+  /// Backup: drops any partial stream and presents its position to `sender`
+  /// again, which answers with a fresh catch-up or snapshot.
+  void refetch_state(net::NodeContext& ctx, NodeId sender);
   void backup_recovered(net::NodeContext& ctx, NodeId backup);
   void execute_and_cache(net::NodeContext& ctx, std::uint64_t order,
                          const workload::TxnRequest& req, bool send_response);
@@ -150,6 +153,7 @@ class PbrReplica {
   // pending order) lives in the shared state-transfer receiver.
   std::deque<ForwardBody> buffered_forwards_;
   repl::StateTransfer::Receiver snap_rx_;
+  net::Time last_stream_frame_ = 0;  // recovering: last sign of the transfer
 
   // Failure detection.
   std::map<std::uint32_t, net::Time> last_heard_;

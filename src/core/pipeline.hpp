@@ -10,11 +10,11 @@
 // decided transaction batches against the replica's engine while the
 // consensus thread goes back to ordering the next slots. The two threads are
 // connected by bounded SPSC rings whose values carry the decided
-// `consensus::EncodedBatch` by shared_ptr — zero payload bytes cross the
-// boundary by copy:
+// `consensus::EncodedBatch` by shared_ptr — no payload byte crosses the
+// ring by copy:
 //
 //   batches ring      consensus → executor   one DeliverBatchHandoff per
-//                                            decided slot, payload spliced
+//                                            decided slot, payload shared
 //   completions ring  executor → consensus   one response Message per txn,
 //                                            posted to the transport by the
 //                                            drain_completions() idle hook

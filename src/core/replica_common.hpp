@@ -81,8 +81,8 @@ struct DeliverHandoff {
 };
 
 /// Loopback handoff of one whole decided slot. The batch travels as the
-/// decided `EncodedBatch` — spliced, never re-encoded — so a pipelined
-/// replica can move it onto its executor thread with zero payload copies
+/// decided `EncodedBatch` — never re-encoded — so a pipelined replica can
+/// move it onto its executor thread by reference
 /// (the i-th command has global delivery index `base_index + i`).
 struct DeliverBatchHandoff {
   Slot slot = 0;

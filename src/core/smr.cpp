@@ -46,7 +46,7 @@ SmrReplica::SmrReplica(net::Transport& world, NodeId self, tob::TobNode& tob,
   // process genuinely stops executing even if the service node survives.
   if (config_.pipelined_execution && world_.is_local(self_)) {
     // Pipelined: one loopback message per decided slot, carrying the decided
-    // EncodedBatch as a splice; on_deliver_batch hands it to the executor
+    // EncodedBatch; on_deliver_batch hands it to the executor
     // thread. The idle hook posts the executor's responses back into the
     // transport whenever the consensus loop completes an iteration.
     // Identical-assembly processes construct every replica in the cluster

@@ -3,11 +3,12 @@
 // A message carries an EventML-style string header (base classes in the DSL
 // pattern-match on it), a type-erased immutable body, and a wire size used
 // by the simulator's bandwidth model and the TCP transport's byte
-// accounting. For bodies with a wire::Codec, the wire size is the *exact*
-// encoded frame length and the pre-encoded body bytes ride along so either
-// transport can transmit, corrupt, and round-trip real bytes. Bodies without
-// codecs (DSL values, test doubles) must state their wire size explicitly
-// and cannot leave the process they were built in.
+// accounting. For bodies with a wire::Codec, the whole wire frame is written
+// once, into one buffer, when the message is built; the wire size is its
+// exact length, and either transport transmits, corrupts, and round-trips
+// those bytes. A multicast shares the one frame across its destinations.
+// Bodies without codecs (DSL values, test doubles) must state their wire
+// size explicitly and cannot leave the process they were built in.
 #pragma once
 
 #include <any>
@@ -18,7 +19,6 @@
 
 #include "common/check.hpp"
 #include "common/ids.hpp"
-#include "wire/encoded_view.hpp"
 #include "wire/framing.hpp"
 #include "wire/registry.hpp"
 
@@ -31,19 +31,23 @@ struct Message {
   NodeId from{};
   std::uint64_t uid = 0;                 // per-transmission identity, assigned by the
                                          // network; lets LoE match sends to receives
-  // Exact body bytes (codec-built messages). Segmented: pre-encoded batch
-  // payloads spliced into the body stay by-reference views of their source
-  // buffer instead of being copied.
-  std::shared_ptr<const wire::SegmentedBytes> encoded_body;
-  // Full frame, shared across a multicast fan-out (zero-copy: encode once
-  // per send). The body segments inside are shared with encoded_body.
-  std::shared_ptr<const wire::SegmentedBytes> encoded_frame;
+  // The whole frame, [prologue][header][body] (codec-built and received
+  // messages; null for explicit-size ones). Immutable and shared by every
+  // copy of the message, so a multicast fan-out sends one buffer.
+  OwnedBytes frame;
 
   bool has_body() const { return body != nullptr && body->has_value(); }
+
+  /// The body bytes inside `frame`, sharing its buffer.
+  ByteView body_bytes() const {
+    SHADOW_CHECK_MSG(frame != nullptr, "message '" + header + "' has no frame");
+    const std::size_t offset = wire::kFrameOverhead + header.size();
+    return ByteView(frame, offset, frame->size() - offset);
+  }
 };
 
 /// Builds a message from a codec-equipped body: registers the header's codec,
-/// encodes once, and sets wire_size to the exact frame length.
+/// writes the whole frame once, and sets wire_size to its exact length.
 template <typename T>
   requires wire::Encodable<std::decay_t<T>>
 Message make_msg(std::string header, T&& body) {
@@ -51,9 +55,9 @@ Message make_msg(std::string header, T&& body) {
   wire::registry().ensure<Body>(header);
   Message m;
   Body value = std::forward<T>(body);
-  m.encoded_body =
-      std::make_shared<const wire::SegmentedBytes>(wire::encode_body_segments(value));
-  m.wire_size = wire::frame_size(header.size(), m.encoded_body->size());
+  m.frame = std::make_shared<const Bytes>(
+      wire::build_frame(header, [&](BytesWriter& w) { wire::Codec<Body>::encode(w, value); }));
+  m.wire_size = m.frame->size();
   m.header = std::move(header);
   m.body = std::make_shared<const std::any>(std::move(value));
   return m;
@@ -75,7 +79,8 @@ Message make_msg(std::string header, T body, std::size_t wire_size) {
 
 inline Message make_signal(std::string header) {
   Message m;
-  m.wire_size = wire::frame_size(header.size(), 0);
+  m.frame = std::make_shared<const Bytes>(wire::encode_frame(header, {}));
+  m.wire_size = m.frame->size();
   m.header = std::move(header);
   return m;
 }

@@ -53,6 +53,7 @@ class TcpTransport::TcpContext final : public NodeContext {
 
   void send(NodeId to, Message msg) override {
     msg.from = self_;
+    transport_.count_frame(msg);
     transport_.route(self_, to, msg);
   }
 
@@ -60,9 +61,9 @@ class TcpTransport::TcpContext final : public NodeContext {
     if (tos.empty()) return;
     Message shared = msg;
     shared.from = self_;
-    // Zero-copy fan-out: serialize once, every destination's write queue
-    // references the same frame buffer.
-    transport_.ensure_encoded_frame(shared);
+    // One frame for the whole fan-out: every destination's write queue
+    // references the buffer make_msg wrote.
+    transport_.count_frame(shared);
     for (NodeId to : tos) transport_.route(self_, to, shared);
   }
 
@@ -254,12 +255,17 @@ bool TcpTransport::stopped(NodeId node) const {
 
 void TcpTransport::post(NodeId from, NodeId to, Message msg) {
   msg.from = from;
+  count_frame(msg);
   route(from, to, msg);
 }
 
 void TcpTransport::route(NodeId from, NodeId to, Message& msg) {
   SHADOW_REQUIRE(to.value < nodes_.size());
-  const std::shared_ptr<const wire::SegmentedBytes>& frame = ensure_encoded_frame(msg);
+  SHADOW_CHECK_MSG(msg.frame != nullptr,
+                   "message '" + msg.header +
+                       "' was built without a codec (explicit-size make_msg) and cannot "
+                       "be serialized to a frame");
+  const OwnedBytes& frame = msg.frame;
   msg.uid = ++msg_uid_counter_;
   for (TransportObserver* obs : observers_) obs->on_send(now(), from, to, msg);
   const HostId host = nodes_[to.value].host;
@@ -278,8 +284,7 @@ void TcpTransport::route(NodeId from, NodeId to, Message& msg) {
   enqueue_record(host, from, to, frame);
 }
 
-void TcpTransport::enqueue_record(HostId host, NodeId from, NodeId to,
-                                  std::shared_ptr<const wire::SegmentedBytes> frame) {
+void TcpTransport::enqueue_record(HostId host, NodeId from, NodeId to, OwnedBytes frame) {
   SHADOW_REQUIRE(host.value < peers_.size());
   ensure_peer_connection(host);
   BytesWriter w;
@@ -287,7 +292,7 @@ void TcpTransport::enqueue_record(HostId host, NodeId from, NodeId to,
   w.u32(from.value);
   w.u32(to.value);
   OutRecord rec;
-  rec.prefix = w.take();
+  std::memcpy(rec.prefix.data(), w.peek().data(), rec.prefix.size());
   rec.frame = std::move(frame);
   peers_[host.value].outq.push_back(std::move(rec));
 }
@@ -379,10 +384,9 @@ void TcpTransport::flush_peer(HostId host) {
     // Gather the unsent remainders of as many queued records as fit into
     // one vectored write — back-to-back consensus decisions coalesce into a
     // single sendmsg instead of one syscall per record. Each record
-    // contributes its routing prologue plus every frame segment; spliced
-    // batch payloads go from their original buffer straight to the socket,
-    // never through a contiguous staging copy. Whatever does not fit in the
-    // iovec array goes out on the next pass.
+    // contributes its routing prologue plus its frame, written straight from
+    // the buffer every destination of a multicast shares. Whatever does not
+    // fit in the iovec array goes out on the next pass.
     std::array<iovec, 64> iov{};
     std::size_t iov_n = 0;
     std::size_t records_gathered = 0;
@@ -401,7 +405,7 @@ void TcpTransport::flush_peer(HostId host) {
     for (const OutRecord& rec : peer.outq) {
       if (iov_n == iov.size()) break;
       gather(rec.prefix.data(), rec.prefix.size());
-      for (const ByteView& seg : rec.frame->segments()) gather(seg.data(), seg.size());
+      gather(rec.frame->data(), rec.frame->size());
       ++records_gathered;
     }
     msghdr mh{};
@@ -487,7 +491,14 @@ bool TcpTransport::parse_records(Inbound& in, std::size_t& handled) {
     const NodeId to{read_u32le(base + 8)};
     const std::span<const std::uint8_t> frame(base + kRoutePrefix, record_len - kRouteWords);
     if (to.value < nodes_.size() && nodes_[to.value].host.value == options_.local_host) {
-      if (dispatch_frame(from, to, frame)) ++handled;
+      // Copy the frame once, off the transient socket read buffer, into an
+      // owned buffer: every view the decoder produces — batch payloads
+      // included — shares it. This copy is inherent to sockets, not a
+      // re-framing, so it is not charged to batch_bytes_copied.
+      if (dispatch_frame(from, to, std::make_shared<const Bytes>(frame.begin(), frame.end()),
+                         /*from_socket=*/true)) {
+        ++handled;
+      }
     }
     // Records for unknown or non-local nodes are misrouted; drop silently.
     in.consumed += 4u + record_len;
@@ -502,91 +513,40 @@ bool TcpTransport::parse_records(Inbound& in, std::size_t& handled) {
   return true;
 }
 
-bool TcpTransport::dispatch_frame(NodeId from, NodeId to,
-                                  std::span<const std::uint8_t> frame) {
-  wire::FrameView view;
-  const wire::FrameStatus status = wire::decode_frame(frame, view);
-  if (status != wire::FrameStatus::kOk) {
+bool TcpTransport::dispatch_frame(NodeId from, NodeId to, OwnedBytes frame, bool from_socket) {
+  const auto drop = [&](const std::string& header, wire::FrameStatus status) {
     wire_drops_.fetch_add(1, std::memory_order_relaxed);
     for (TransportObserver* obs : observers_) {
-      obs->on_wire_drop(now(), from, to, "", frame.size(), status);
+      obs->on_wire_drop(now(), from, to, header, frame->size(), status);
     }
     return false;
-  }
-
+  };
+  wire::FrameView view;
+  const wire::FrameStatus status = wire::decode_frame(*frame, view);
+  if (status != wire::FrameStatus::kOk) return drop("", status);
   Message msg;
   msg.header = std::string(view.header);
-  msg.from = from;
-  msg.wire_size = frame.size();
-  std::shared_ptr<const wire::SegmentedBytes> body;
-  if (!view.body.empty()) {
-    // Materialize the body once, off the transient socket read buffer, into
-    // an owned segment. Every view the decoder produces — batch payload
-    // sub-frames included — shares this one buffer, so this is the only
-    // copy on the whole receive path (and it is inherent to sockets, not a
-    // re-encode: it is not charged to batch_bytes_copied).
-    wire::SegmentedBytes owned;
-    owned.append(ByteView::owning(Bytes(view.body.begin(), view.body.end())));
-    body = std::make_shared<const wire::SegmentedBytes>(std::move(owned));
+  // A structurally valid frame whose header no codec was registered for
+  // cannot be interpreted; drop it (traced), never crash the receiver.
+  if (!view.body.empty() && !wire::registry().contains(msg.header)) {
+    return drop(msg.header, wire::FrameStatus::kUnknownHeader);
   }
-  if (!decode_message(from, to, msg, std::move(body))) return false;
-  if (pipelined_) {
+  msg.from = from;
+  msg.wire_size = frame->size();
+  msg.frame = std::move(frame);
+  if (!view.body.empty()) msg.body = wire::registry().decode(msg.header, msg.body_bytes());
+  if (pipelined_ && from_socket) {
     // I/O thread: hand the decoded message to the consensus thread. The
-    // body's buffers cross by shared_ptr; a full ring blocks this thread,
-    // which stops the socket reads and becomes TCP backpressure.
+    // frame crosses by shared_ptr; a full ring blocks this thread, which
+    // stops the socket reads and becomes TCP backpressure.
     if (!inbound_ring_->push(InboundDelivery{from, to, std::move(msg)})) {
       return false;  // ring closed: shutting down
     }
     notify_driver();
     return true;
   }
+  // Loopback frames are dispatched on the consensus thread: deliver inline.
   return finish_delivery(to, std::move(msg));
-}
-
-bool TcpTransport::dispatch_frame_segments(NodeId from, NodeId to,
-                                           const wire::SegmentedBytes& frame) {
-  wire::SegmentedFrameView view;
-  const wire::FrameStatus status = wire::decode_frame_segments(frame, view);
-  if (status != wire::FrameStatus::kOk) {
-    wire_drops_.fetch_add(1, std::memory_order_relaxed);
-    for (TransportObserver* obs : observers_) {
-      obs->on_wire_drop(now(), from, to, "", frame.size(), status);
-    }
-    return false;
-  }
-
-  Message msg;
-  msg.header = std::string(view.header);
-  msg.from = from;
-  msg.wire_size = frame.size();
-  std::shared_ptr<const wire::SegmentedBytes> body;
-  if (!view.body.empty()) {
-    // Loopback is fully zero-copy: the body's segments share the sender's
-    // original buffers.
-    body = std::make_shared<const wire::SegmentedBytes>(std::move(view.body));
-  }
-  // Loopback dispatch always runs on the consensus thread: decode and
-  // deliver inline, no ring crossing.
-  if (!decode_message(from, to, msg, std::move(body))) return false;
-  return finish_delivery(to, std::move(msg));
-}
-
-bool TcpTransport::decode_message(NodeId from, NodeId to, Message& msg,
-                                  std::shared_ptr<const wire::SegmentedBytes> body) {
-  if (body == nullptr || body->empty()) return true;
-  // A structurally valid frame whose header no codec was registered for
-  // cannot be interpreted; drop it (traced), never crash the receiver.
-  if (!wire::registry().contains(msg.header)) {
-    wire_drops_.fetch_add(1, std::memory_order_relaxed);
-    for (TransportObserver* obs : observers_) {
-      obs->on_wire_drop(now(), from, to, msg.header, msg.wire_size,
-                        wire::FrameStatus::kUnknownHeader);
-    }
-    return false;
-  }
-  msg.body = wire::registry().decode(msg.header, *body);
-  msg.encoded_body = std::move(body);
-  return true;
 }
 
 bool TcpTransport::finish_delivery(NodeId to, Message&& msg) {
@@ -606,7 +566,7 @@ std::size_t TcpTransport::drain_loopback() {
   while (!loopback_.empty()) {
     const LoopbackRecord rec = std::move(loopback_.front());
     loopback_.pop_front();
-    if (dispatch_frame_segments(rec.from, rec.to, *rec.frame)) ++handled;
+    if (dispatch_frame(rec.from, rec.to, rec.frame, /*from_socket=*/false)) ++handled;
   }
   return handled;
 }

@@ -9,8 +9,8 @@
 //     the process-wide `wire::Registry`, and drives the same
 //     `net::MessageHandler`s the simulator drives;
 //   * fires one-shot timers off a monotonic-clock min-heap;
-//   * writes outgoing frames nonblocking, sharing one encoded buffer across
-//     all destinations of a multicast (zero-copy fan-out).
+//   * writes outgoing frames nonblocking, sharing one frame buffer across
+//     all destinations of a multicast.
 //
 // Topology is static and replicated: every process runs the identical
 // assembly code (add_host / add_node in the same order) against the same
@@ -27,6 +27,7 @@
 // injected.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -189,17 +190,15 @@ class TcpTransport final : public Transport {
     Rng rng;
   };
 
-  /// One queued outgoing record: the 12-byte routing prologue (owned) plus
-  /// the scatter-gather frame, whose buffers are shared with every other
-  /// destination of the same multicast — spliced batch payloads inside the
-  /// frame are written straight from their original buffer (sendmsg/iovec),
-  /// never copied into a contiguous staging area. `offset` counts bytes
-  /// already written across the whole record, so a connection failure
-  /// mid-record can rewind and resend the record on the replacement
+  /// One queued outgoing record: the 12-byte routing prologue plus the
+  /// frame, whose buffer is shared with every other destination of the same
+  /// multicast and written straight from there (sendmsg/iovec). `offset`
+  /// counts bytes already written across the whole record, so a connection
+  /// failure mid-record can rewind and resend the record on the replacement
   /// connection (the receiver discarded the partial stream).
   struct OutRecord {
-    Bytes prefix;
-    std::shared_ptr<const wire::SegmentedBytes> frame;
+    std::array<std::uint8_t, 12> prefix{};  // [record_len u32][from u32][to u32]
+    OwnedBytes frame;
     std::size_t offset = 0;
     std::size_t size() const { return prefix.size() + frame->size(); }
   };
@@ -233,11 +232,11 @@ class TcpTransport final : public Transport {
   struct LoopbackRecord {
     NodeId from{};
     NodeId to{};
-    std::shared_ptr<const wire::SegmentedBytes> frame;
+    OwnedBytes frame;
   };
 
   /// A decoded message crossing I/O thread → consensus thread. The body and
-  /// its backing buffers travel by shared_ptr inside `msg`.
+  /// its frame travel by shared_ptr inside `msg`.
   struct InboundDelivery {
     NodeId from{};
     NodeId to{};
@@ -251,14 +250,13 @@ class TcpTransport final : public Transport {
     HostId host{};
     NodeId from{};
     NodeId to{};
-    std::shared_ptr<const wire::SegmentedBytes> frame;
+    OwnedBytes frame;
   };
 
-  /// Serializes (sharing the cached frame) and routes one message: loopback
-  /// queue for local destinations, the peer connection otherwise.
+  /// Routes one message's frame: loopback queue for local destinations, the
+  /// peer connection otherwise.
   void route(NodeId from, NodeId to, Message& msg);
-  void enqueue_record(HostId host, NodeId from, NodeId to,
-                      std::shared_ptr<const wire::SegmentedBytes> frame);
+  void enqueue_record(HostId host, NodeId from, NodeId to, OwnedBytes frame);
   void ensure_peer_connection(HostId host);
   void flush_peer(HostId host);
   void fail_peer(HostId host);
@@ -272,18 +270,12 @@ class TcpTransport final : public Transport {
   void close_inbound(Inbound& in, wire::FrameStatus reason);
   std::size_t drain_inbound(Inbound& in);
   bool parse_records(Inbound& in, std::size_t& handled);
-  /// Validates + decodes one frame read off a socket (contiguous inbound
-  /// bytes: the body is materialized into one owned buffer that every view
-  /// decoded from it shares) and runs the destination's handler. Invalid
-  /// frames and unknown headers become traced drops, never crashes.
-  bool dispatch_frame(NodeId from, NodeId to, std::span<const std::uint8_t> frame);
-  /// Same for a loopback frame, fully zero-copy: the decoded body's views
-  /// share the sender's original buffers.
-  bool dispatch_frame_segments(NodeId from, NodeId to, const wire::SegmentedBytes& frame);
-  /// Registry decode into msg.body (runs on the I/O thread when pipelined);
-  /// false = unknown header, accounted as a traced wire drop.
-  bool decode_message(NodeId from, NodeId to, Message& msg,
-                      std::shared_ptr<const wire::SegmentedBytes> body);
+  /// Validates + decodes one frame and delivers it: a frame read off a
+  /// socket (`from_socket`) goes to the consensus thread through the inbound
+  /// ring when pipelined; a loopback frame is delivered inline. The decoded
+  /// body's batch payloads share `frame`. Invalid frames and unknown headers
+  /// become traced drops, never crashes.
+  bool dispatch_frame(NodeId from, NodeId to, OwnedBytes frame, bool from_socket);
   /// Delivery tail on the consensus thread: stopped check, observers,
   /// handler invocation.
   bool finish_delivery(NodeId to, Message&& msg);

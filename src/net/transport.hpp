@@ -93,11 +93,11 @@ class TransportObserver {
   virtual void on_wire_drop(Time /*t*/, NodeId /*from*/, NodeId /*to*/,
                             const std::string& /*header*/, std::size_t /*wire_size*/,
                             wire::FrameStatus /*reason*/) {}
-  /// A message's frame was serialized. Fires once per fan-out when the
-  /// transports share the encoded buffer across multicast destinations
-  /// (obs turns this into the `net.encode_count` metric).
-  virtual void on_frame_encoded(Time /*t*/, const std::string& /*header*/,
-                                std::size_t /*frame_size*/) {}
+  /// A message's frame was handed to the transport: once per send, and once
+  /// per multicast fan-out, whose destinations all share the one buffer
+  /// (obs turns this into the `net.encode_count` metric). Fires before any
+  /// routing, so it also sees frames addressed to stopped nodes.
+  virtual void on_frame_sent(Time /*t*/, const Message& /*m*/) {}
   /// An established peer connection died (TCP backend). Fires once per
   /// outage, not per reconnect attempt.
   virtual void on_peer_down(Time /*t*/, HostId /*peer*/) {}
@@ -175,19 +175,19 @@ class Transport {
   // -- observation -----------------------------------------------------------
   void add_observer(TransportObserver* obs) { observers_.push_back(obs); }
 
-  /// Frames serialized by this transport. A multicast that shares its
-  /// encoded buffer across destinations counts once (see `net.encode_count`).
+  /// Frames handed to this transport. A multicast shares its frame across
+  /// destinations and counts once (see `net.encode_count`).
   std::uint64_t encode_count() const { return encode_count_; }
-
-  /// Encodes the message's frame and caches it on the message so every
-  /// destination (and retransmission) of a fan-out reuses the same bytes.
-  /// Counts one encode and notifies observers; a no-op when already cached.
-  /// Requires a codec-built or bodyless message. The frame is scatter-gather:
-  /// spliced batch payloads in the body remain shared views, never copied.
-  const std::shared_ptr<const wire::SegmentedBytes>& ensure_encoded_frame(Message& msg);
 
  protected:
   const std::vector<TransportObserver*>& observers() const { return observers_; }
+
+  /// Counts one outgoing frame (a send, or a whole multicast fan-out) and
+  /// notifies observers.
+  void count_frame(const Message& msg) {
+    ++encode_count_;
+    for (TransportObserver* obs : observers_) obs->on_frame_sent(now(), msg);
+  }
 
   /// Runs every registered idle hook once; returns the total items processed.
   std::size_t run_idle_hooks() {

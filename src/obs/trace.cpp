@@ -131,8 +131,6 @@ void Tracer::sync_batch_stats() {
   const SpliceStats& now = splice_stats();
   metrics_.counter("net.batch_encode_count")
       .add(now.batch_encodes - batch_stats_baseline_.batch_encodes);
-  metrics_.counter("net.batch_splices")
-      .add(now.batch_splices - batch_stats_baseline_.batch_splices);
   metrics_.counter("net.batch_bytes_copied")
       .add(now.batch_bytes_copied - batch_stats_baseline_.batch_bytes_copied);
   batch_stats_baseline_ = now;
@@ -211,11 +209,10 @@ void Tracer::on_wire_drop(net::Time t, NodeId from, NodeId to, const std::string
   append(e);
 }
 
-void Tracer::on_frame_encoded(net::Time /*t*/, const std::string& /*header*/,
-                              std::size_t frame_size) {
+void Tracer::on_frame_sent(net::Time /*t*/, const net::Message& m) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("net.encode_count").add();
-  metrics_.counter("net.encode_bytes").add(frame_size);
+  metrics_.counter("net.encode_bytes").add(m.wire_size);
 }
 
 void Tracer::on_peer_down(net::Time /*t*/, net::HostId /*peer*/) {

@@ -132,10 +132,9 @@ class Tracer final : public net::TransportObserver {
   void on_crash(net::Time t, NodeId node) override;
   void on_wire_drop(net::Time t, NodeId from, NodeId to, const std::string& header,
                     std::size_t wire_size, wire::FrameStatus reason) override;
-  /// Counts frame serializations as `net.encode_count`: one per fan-out
-  /// when the transport shares the encoded buffer across a multicast.
-  void on_frame_encoded(net::Time t, const std::string& header,
-                        std::size_t frame_size) override;
+  /// Counts outgoing frames as `net.encode_count`: one per send, one per
+  /// multicast fan-out (whose destinations share the one frame buffer).
+  void on_frame_sent(net::Time t, const net::Message& m) override;
   /// TCP peer lifecycle → net.peer_down_total / net.peer_up_total (with a
   /// net.peer_downtime_us histogram) / net.reconnect_attempts.
   void on_peer_down(net::Time t, net::HostId peer) override;
@@ -194,11 +193,11 @@ class Tracer final : public net::TransportObserver {
   void observe(const std::string& name, std::uint64_t value);
   void count(const std::string& name, std::uint64_t delta = 1);
 
-  /// Folds the process-wide zero-copy batch counters (wire::batch_stats())
-  /// into this tracer's metrics as net.batch_encode_count /
-  /// net.batch_splices / net.batch_bytes_copied, counting only the deltas
-  /// accrued since this tracer was constructed (or last synced). Call before
-  /// reading/printing metrics; idempotent between accruals.
+  /// Folds the process-wide batch counters (splice_stats()) into this
+  /// tracer's metrics as net.batch_encode_count / net.batch_bytes_copied,
+  /// counting only the deltas accrued since this tracer was constructed (or
+  /// last synced). Call before reading/printing metrics; idempotent between
+  /// accruals.
   void sync_batch_stats();
 
   /// Events recorded so far, oldest first (materializes the ring buffer).
@@ -235,7 +234,7 @@ class Tracer final : public net::TransportObserver {
   std::unordered_map<std::string, std::uint32_t> string_ids_{{"", 0}};
 
   MetricsRegistry metrics_;
-  // Snapshot of the process-wide zero-copy counters at construction / last
+  // Snapshot of the process-wide batch counters at construction / last
   // sync, so concurrent tracers each report only their own window.
   SpliceStats batch_stats_baseline_;
   // Derived-metric state: first propose / first decide per slot, and the

@@ -10,20 +10,19 @@ namespace shadow::sim {
 // ---------------------------------------------------------------- Context --
 
 void Context::send(NodeId to, Message msg) {
+  world_.note_frame(msg);
   msg.from = self_;
   outbox_.emplace_back(to, std::move(msg));
 }
 
 void Context::multicast(const std::vector<NodeId>& tos, const Message& msg) {
   if (tos.empty()) return;
-  Message shared = msg;
-  // Zero-copy fan-out: when deliveries will take the byte path, serialize
-  // the frame once here and let every destination reuse the same buffer.
-  if (world_.byte_path_possible() &&
-      (shared.encoded_body != nullptr || !shared.has_body())) {
-    world_.ensure_encoded_frame(shared);
+  // One frame for the whole fan-out: every destination shares its buffer.
+  world_.note_frame(msg);
+  for (NodeId to : tos) {
+    outbox_.emplace_back(to, msg);
+    outbox_.back().second.from = self_;
   }
-  for (NodeId to : tos) send(to, shared);
 }
 
 TimerId Context::set_timer(Time delay, net::TimerFn fn) {
@@ -115,8 +114,13 @@ std::size_t World::run(std::size_t max_events) {
 bool World::idle() const { return events_.empty(); }
 
 void World::post(NodeId from, NodeId to, Message msg) {
+  note_frame(msg);
   msg.from = from;
   deliver(from, to, std::move(msg), now_);
+}
+
+void World::note_frame(const Message& msg) {
+  if (byte_path_possible() && msg.frame != nullptr) count_frame(msg);
 }
 
 TimerId World::schedule(Time delay, std::function<void()> fn) {
@@ -260,37 +264,34 @@ void World::deliver(NodeId from, NodeId to, Message msg, Time send_time) {
 }
 
 bool World::transmit_bytes(NodeId from, NodeId to, Message& msg) {
-  // Multicasts arrive with the frame already encoded (shared across the
-  // fan-out); unicast sends encode here, once per transmission.
-  const wire::SegmentedBytes& encoded = *ensure_encoded_frame(msg);
+  SHADOW_CHECK_MSG(msg.frame != nullptr,
+                   "message '" + msg.header +
+                       "' was built without a codec (explicit-size make_msg) and cannot "
+                       "be serialized to a frame");
 
-  // Fault injection flattens the scatter-gather frame into a private
-  // contiguous copy and mutates that, so one corrupted destination cannot
-  // damage the buffers the rest of the fan-out shares. This is the one
-  // staging copy left in the system, and it runs only on faulted links;
-  // clean links keep the segmented frame untouched.
-  wire::SegmentedBytes faulted_frame;
-  const wire::SegmentedBytes* frame = &encoded;
+  // Fault injection mutates a private copy of the frame, so one corrupted
+  // destination cannot damage the buffer the rest of the fan-out shares.
+  // It runs only on faulted links; clean links read the shared frame.
+  OwnedBytes frame = msg.frame;
   if (const auto it = link_faults_.find(channel_key(from, to)); it != link_faults_.end()) {
     bool faulted = false;
     Bytes mutated;
     if (it->second.corrupt_prob > 0 && rng_.chance(it->second.corrupt_prob)) {
       // Flip one byte anywhere in the frame (prologue, header, or body —
-      // including inside a spliced batch sub-frame).
-      if (mutated.empty()) mutated = encoded.flatten();
+      // including inside a batch sub-frame).
+      mutated = *msg.frame;
       const std::size_t pos = rng_.index(mutated.size());
       mutated[pos] ^= static_cast<std::uint8_t>(1 + rng_.index(255));
       faulted = true;
     }
     if (it->second.truncate_prob > 0 && rng_.chance(it->second.truncate_prob)) {
-      if (mutated.empty()) mutated = encoded.flatten();
+      if (mutated.empty()) mutated = *msg.frame;
       mutated.resize(rng_.index(mutated.size()));
       faulted = true;
     }
     if (faulted) {
       ++frames_faulted_;
-      faulted_frame = wire::SegmentedBytes(ByteView::owning(std::move(mutated)));
-      frame = &faulted_frame;
+      frame = std::make_shared<const Bytes>(std::move(mutated));
     }
   }
 
@@ -305,8 +306,8 @@ bool World::transmit_bytes(NodeId from, NodeId to, Message& msg) {
     return false;
   };
 
-  wire::SegmentedFrameView view;
-  const wire::FrameStatus status = wire::decode_frame_segments(*frame, view);
+  wire::FrameView view;
+  const wire::FrameStatus status = wire::decode_frame(*frame, view);
   if (status != wire::FrameStatus::kOk) return drop(status);
   SHADOW_CHECK(view.header == msg.header);
   if (msg.has_body()) {
@@ -317,16 +318,14 @@ bool World::transmit_bytes(NodeId from, NodeId to, Message& msg) {
     }
     // The handler receives the freshly decoded body, not the sender's
     // object: any state shared through the shared_ptr body is severed.
-    // (Encoded sub-frame *views* inside the body do share the frame's
-    // buffers — they are immutable, so sharing is safe and free.)
-    std::shared_ptr<const std::any> decoded = wire::registry().decode(msg.header, view.body);
+    // (Batch payload views inside the body do share the received frame's
+    // buffer — it is immutable, so sharing is safe and free.)
+    msg.frame = std::move(frame);
+    std::shared_ptr<const std::any> decoded =
+        wire::registry().decode(msg.header, msg.body_bytes());
     if (wire_fidelity_) {
-      // Byte-identical re-encode is now structural: re-encoding splices the
-      // very views decode produced, and the comparison streams over shared
-      // buffers — no fresh serialization, no staging copy.
-      const wire::SegmentedBytes reencoded =
-          wire::registry().encode_segments(msg.header, *decoded);
-      SHADOW_CHECK_MSG(msg.encoded_body != nullptr && reencoded == *msg.encoded_body,
+      const Bytes reencoded = wire::registry().encode(msg.header, *decoded);
+      SHADOW_CHECK_MSG(std::ranges::equal(reencoded, view.body),
                        "message '" + msg.header + "' does not round-trip byte-identically");
     }
     msg.body = std::move(decoded);

@@ -65,8 +65,7 @@ class Context final : public net::NodeContext {
   /// Queue a message send; released on the network at job completion.
   void send(NodeId to, Message msg) override;
 
-  /// Send to many destinations. When the byte path is active (wire fidelity
-  /// or link faults) the frame is encoded once and shared across the fan-out.
+  /// Send to many destinations, all sharing the message's one frame.
   void multicast(const std::vector<NodeId>& tos, const Message& msg) override;
 
   /// Consume virtual CPU time. Advances this machine's busy horizon.
@@ -152,8 +151,8 @@ class World final : public net::Transport {
   void set_partitioned(NodeId a, NodeId b, bool blocked);
 
   // -- wire fidelity / byte-level fault injection ---------------------------
-  /// When on, every codec-built message is encoded to a real frame at send
-  /// and decoded at delivery; the handler sees the freshly decoded body (so
+  /// When on, every codec-built message's frame is validated and decoded
+  /// at delivery; the handler sees the freshly decoded body (so
   /// shared mutable state cannot be smuggled through shared_ptr bodies), and
   /// the decode is re-encoded and checked byte-identical (round-trip proof).
   void set_wire_fidelity(bool on) { wire_fidelity_ = on; }
@@ -213,9 +212,11 @@ class World final : public net::Transport {
     }
   };
 
-  /// Whether any delivery may take the byte path (encode + decode real
-  /// frames); multicast pre-encodes the shared frame only in that case.
+  /// Whether any delivery may take the byte path (decode real frames).
   bool byte_path_possible() const { return wire_fidelity_ || !link_faults_.empty(); }
+  /// Counts one outgoing frame (Transport::encode_count) while the byte path
+  /// is on: once per send or post, once per multicast fan-out.
+  void note_frame(const Message& msg);
 
   void schedule_at(Time at, TimerId id, std::function<void()> fn);
   void enqueue_job(Job job);
@@ -223,10 +224,10 @@ class World final : public net::Transport {
   void run_job(MachineId machine);
   void release_outbox(Context& ctx, Time completion);
   void deliver(NodeId from, NodeId to, Message msg, Time send_time);
-  /// Runs the byte path for one message: encode (or reuse the multicast's
-  /// shared frame), inject faults, validate, decode. Returns false if the
-  /// frame was dropped (corruption-as-loss); on success `msg` carries the
-  /// freshly decoded body.
+  /// Runs the byte path for one message: inject faults into a private copy
+  /// of its frame, validate, decode. Returns false if the frame was dropped
+  /// (corruption-as-loss); on success `msg` carries the freshly decoded
+  /// body.
   bool transmit_bytes(NodeId from, NodeId to, Message& msg);
   Time link_latency(NodeId from, NodeId to, std::size_t wire_size);
   static std::uint64_t channel_key(NodeId from, NodeId to) {

@@ -105,7 +105,7 @@ void TobNode::on_relay(net::NodeContext& ctx, const RelayBody& body) {
   SHADOW_CHECK_MSG(cmds.size() == body.origins.size(),
                    "tob-relay batch and origins length mismatch");
   // The common case: every relayed command is new here. Keep the received
-  // sub-frame whole so the proposal splices the original bytes, and mirror
+  // sub-frame whole so the proposal reuses the original bytes, and mirror
   // the commands into pending_ (in_flight: the unit owns their proposal) for
   // dedup, ack, and loser-reset bookkeeping.
   bool all_fresh = !cmds.empty();
@@ -122,7 +122,7 @@ void TobNode::on_relay(net::NodeContext& ctx, const RelayBody& body) {
   }
   if (!all_fresh) {
     // Duplicates inside the unit (client retries racing a relay): fall back
-    // to per-command ingestion; this unit loses its zero-copy ride.
+    // to per-command ingestion; this unit's commands are encoded afresh.
     for (std::size_t i = 0; i < cmds.size(); ++i) on_broadcast(ctx, cmds[i], body.origins[i]);
     return;
   }
@@ -171,7 +171,7 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
     }
     relayed_units_.clear();
     // Local pending commands are relayed as encoded units too — this is THE
-    // encode of their batch lifetime; every later hop splices these bytes.
+    // encode of their batch lifetime; every later hop copies these bytes.
     Batch chunk;
     std::vector<NodeId> origins;
     std::size_t self_eligible = 0;
@@ -222,7 +222,7 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
   }
   const std::size_t batch_cap = batch_limit_;
 
-  // A proposal merges (a) queued relayed units, spliced by reference — no
+  // A proposal merges (a) queued relayed units, copied as bytes — no
   // re-encode of bytes that already travelled — and (b) locally-pending
   // commands, serialized once. Units bypass the batching window: they
   // already lingered at their frontend.
@@ -247,7 +247,7 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
   if (builder.empty()) return;
   EncodedBatch batch = builder.build();
   if (config_.tracer && !config_.metric_scope.empty()) {
-    // Per-group encode counter: the process-wide wire::batch_stats() fold
+    // Per-group encode counter: the process-wide splice_stats() fold
     // cannot attribute encodes when several groups share one process.
     config_.tracer->count(encode_metric_);
   }
@@ -321,7 +321,7 @@ void TobNode::deliver_ready(net::NodeContext& ctx) {
     }
     // Whole-slot subscribers (local batch subscriber and remote tob-deliver)
     // get the decided sub-frame as-is — the same bytes consensus agreed on,
-    // spliced, never re-encoded; only a slot containing duplicates (client
+    // never re-encoded; only a slot containing duplicates (client
     // retries) needs a fresh sub-frame for the delivered subset.
     if (!fresh.empty() && (batch_subscriber_ || !remote_subscribers_.empty())) {
       const EncodedBatch out = fresh.size() == batch.size() ? encoded

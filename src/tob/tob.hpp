@@ -75,7 +75,7 @@ struct DeliverBody {
 /// Body of tob-relay: commands relayed from a non-proposing service node to
 /// the protocol's preferred proposer (the Paxos leader). The commands travel
 /// as one encoded sub-frame — this is THE encode of their batch lifetime;
-/// the leader splices the same bytes into its proposal — with the original
+/// the leader copies the same bytes into its proposal — with the original
 /// senders alongside (origins[i] broadcast batch commands()[i] to us) so the
 /// delivery notification still reaches them.
 struct RelayBody {
@@ -131,7 +131,7 @@ class TobNode {
 
   /// Whole-slot local subscriber: one call per decided slot, carrying the
   /// decided `EncodedBatch` by reference (no re-encode) so a pipelined
-  /// replica can hand it across its executor thread boundary as a splice.
+  /// replica can hand it across its executor thread boundary by reference.
   /// Per-command dedup/ack/log bookkeeping still happens here first.
   void subscribe_local_batch(LocalDeliverBatchFn fn) { batch_subscriber_ = std::move(fn); }
 
@@ -217,7 +217,7 @@ class TobNode {
   };
   std::deque<PendingCommand> pending_;
 
-  /// A relayed sub-frame waiting to be spliced into a proposal. The unit's
+  /// A relayed sub-frame waiting to be folded into a proposal. The unit's
   /// commands also sit in pending_ (marked in_flight) for dedup/ack
   /// bookkeeping; the unit itself preserves the received bytes so the
   /// proposal re-uses them instead of re-encoding.

@@ -170,31 +170,12 @@ Bytes encode_body(const T& v) {
   return w.take();
 }
 
-/// Encodes a body to a segmented buffer: any views the codec splices (the
-/// EncodedBatch sub-frame protocol) ride along by reference instead of being
-/// copied into the output. This is the zero-copy counterpart of encode_body.
+/// Decodes a body, requiring the buffer to be consumed exactly. When `data`
+/// is owned (a received frame), decoded batch payloads share its buffer, so
+/// a batch decoded here can be framed again later without re-encoding.
 template <Encodable T>
-SegmentedBytes encode_body_segments(const T& v) {
-  BytesWriter w;
-  Codec<T>::encode(w, v);
-  return w.take_segments();
-}
-
-/// Decodes a body, requiring the buffer to be consumed exactly.
-template <Encodable T>
-T decode_body(std::span<const std::uint8_t> data) {
-  BytesReader r(data);
-  T v = Codec<T>::decode(r);
-  SHADOW_CHECK_MSG(r.done(), "trailing bytes after body decode");
-  return v;
-}
-
-/// Ownership-aware decode: when `data` holds owned segments (a received
-/// frame), decoded sub-frame views share those buffers, so a batch decoded
-/// here can be re-framed later without re-encoding.
-template <Encodable T>
-T decode_body(const SegmentedBytes& data) {
-  BytesReader r(data);
+T decode_body(ByteView data) {
+  BytesReader r(std::move(data));
   T v = Codec<T>::decode(r);
   SHADOW_CHECK_MSG(r.done(), "trailing bytes after body decode");
   return v;

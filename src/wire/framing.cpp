@@ -1,5 +1,9 @@
 #include "wire/framing.hpp"
 
+#include <cstring>
+
+#include "common/check.hpp"
+
 namespace shadow::wire {
 
 namespace {
@@ -24,40 +28,23 @@ std::uint64_t frame_checksum(std::string_view header, std::span<const std::uint8
   return h;
 }
 
-std::uint64_t frame_checksum(std::string_view header, const SegmentedBytes& body) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a(h, reinterpret_cast<const std::uint8_t*>(header.data()), header.size());
-  for (const ByteView& s : body.segments()) h = fnv1a(h, s.data(), s.size());
-  return h;
+void seal_frame(Bytes& frame, std::size_t header_len) {
+  SHADOW_REQUIRE(frame.size() >= kFrameOverhead + header_len);
+  const std::span<const std::uint8_t> rest(frame.data() + kFrameOverhead,
+                                           frame.size() - kFrameOverhead);
+  const std::string_view header(reinterpret_cast<const char*>(rest.data()), header_len);
+  const std::span<const std::uint8_t> body = rest.subspan(header_len);
+  BytesWriter w;
+  w.u32(kFrameMagic);
+  w.u32(kFrameVersion);
+  w.u32(static_cast<std::uint32_t>(header_len));
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.u64(frame_checksum(header, body));
+  std::memcpy(frame.data(), w.peek().data(), kFrameOverhead);
 }
 
 Bytes encode_frame(std::string_view header, std::span<const std::uint8_t> body) {
-  BytesWriter w;
-  w.u32(kFrameMagic);
-  w.u32(kFrameVersion);
-  w.u32(static_cast<std::uint32_t>(header.size()));
-  w.u32(static_cast<std::uint32_t>(body.size()));
-  w.u64(frame_checksum(header, body));
-  w.raw({reinterpret_cast<const std::uint8_t*>(header.data()), header.size()});
-  w.raw(body);
-  return w.take();
-}
-
-SegmentedBytes encode_frame_segments(std::string_view header, const SegmentedBytes& body) {
-  BytesWriter w;
-  w.u32(kFrameMagic);
-  w.u32(kFrameVersion);
-  w.u32(static_cast<std::uint32_t>(header.size()));
-  w.u32(static_cast<std::uint32_t>(body.size()));
-  w.u64(frame_checksum(header, body));
-  w.raw({reinterpret_cast<const std::uint8_t*>(header.data()), header.size()});
-  // Gather the frame by hand (not via BytesWriter::splice) so that frame
-  // assembly — which happens for every message — does not count as a batch
-  // splice in the zero-copy stats.
-  SegmentedBytes out;
-  out.append_owned(w.take());
-  out.append(body);
-  return out;
+  return build_frame(header, [&](BytesWriter& w) { w.raw(body); });
 }
 
 const char* to_string(FrameStatus status) {
@@ -86,28 +73,6 @@ FrameStatus decode_frame(std::span<const std::uint8_t> frame, FrameView& out) {
   const std::span<const std::uint8_t> body = frame.subspan(kFrameOverhead + header_len, body_len);
   if (frame_checksum(header, body) != checksum) return FrameStatus::kChecksumMismatch;
   out = FrameView{header, body};
-  return FrameStatus::kOk;
-}
-
-FrameStatus decode_frame_segments(const SegmentedBytes& frame, SegmentedFrameView& out) {
-  if (frame.size() < kFrameOverhead) return FrameStatus::kTruncated;
-  const std::vector<ByteView>& segs = frame.segments();
-  if (segs.empty() || segs.front().size() < kFrameOverhead) return FrameStatus::kTruncated;
-  const ByteView& first = segs.front();
-  BytesReader r(first.span().first(kFrameOverhead));
-  const std::uint32_t magic = r.u32();
-  const std::uint32_t version = r.u32();
-  if (magic != kFrameMagic || version != kFrameVersion) return FrameStatus::kBadMagic;
-  const std::uint32_t header_len = r.u32();
-  const std::uint32_t body_len = r.u32();
-  const std::uint64_t checksum = r.u64();
-  if (frame.size() != frame_size(header_len, body_len)) return FrameStatus::kTruncated;
-  if (first.size() < kFrameOverhead + header_len) return FrameStatus::kTruncated;
-  const std::string_view header(reinterpret_cast<const char*>(first.data() + kFrameOverhead),
-                                header_len);
-  SegmentedBytes body = frame.subrange(kFrameOverhead + header_len, body_len);
-  if (frame_checksum(header, body) != checksum) return FrameStatus::kChecksumMismatch;
-  out = SegmentedFrameView{header, std::move(body)};
   return FrameStatus::kOk;
 }
 

@@ -31,18 +31,29 @@ constexpr std::size_t frame_size(std::size_t header_len, std::size_t body_len) {
 /// FNV-1a 64-bit over header bytes then body bytes.
 std::uint64_t frame_checksum(std::string_view header, std::span<const std::uint8_t> body);
 
-/// Same checksum, streamed across a segmented body — no contiguous staging
-/// copy is needed to checksum a frame whose body splices pre-encoded views.
-std::uint64_t frame_checksum(std::string_view header, const SegmentedBytes& body);
+/// Fills in the prologue of `frame`, whose first kFrameOverhead bytes are
+/// reserved and which continues with a header of `header_len` bytes and the
+/// body: the lengths and the checksum are computed from what follows.
+void seal_frame(Bytes& frame, std::size_t header_len);
 
-/// Serializes a complete frame.
+/// Writes a complete frame in one buffer: `write_body(BytesWriter&)` appends
+/// the body straight after the header, then the prologue is sealed. Message
+/// construction encodes every body this way, straight into its frame rather
+/// than into a separate body buffer first.
+template <typename WriteBody>
+Bytes build_frame(std::string_view header, WriteBody&& write_body) {
+  static constexpr std::uint8_t kReserved[kFrameOverhead] = {};
+  BytesWriter w;
+  w.raw(kReserved);
+  w.raw({reinterpret_cast<const std::uint8_t*>(header.data()), header.size()});
+  write_body(w);
+  Bytes frame = w.take();
+  seal_frame(frame, header.size());
+  return frame;
+}
+
+/// Serializes a complete frame around an already-encoded body.
 Bytes encode_frame(std::string_view header, std::span<const std::uint8_t> body);
-
-/// Scatter-gather framing: the prologue + header become one freshly written
-/// segment, the body segments are shared by reference (never copied). A
-/// transport can write the result with a gathering send; flattening it yields
-/// byte-identical output to encode_frame on the flattened body.
-SegmentedBytes encode_frame_segments(std::string_view header, const SegmentedBytes& body);
 
 enum class FrameStatus : std::uint8_t {
   kOk = 0,
@@ -63,18 +74,5 @@ struct FrameView {
 /// Validates and splits a frame. On any status other than kOk the view is
 /// unspecified and must not be used.
 FrameStatus decode_frame(std::span<const std::uint8_t> frame, FrameView& out);
-
-/// Parsed view into a valid segmented frame: the header points into the
-/// frame's first segment, the body shares the frame's buffers (zero-copy).
-struct SegmentedFrameView {
-  std::string_view header;
-  SegmentedBytes body;
-};
-
-/// Segment-aware decode_frame. Requires the prologue + header to sit in the
-/// frame's first segment — encode_frame_segments guarantees that, and a
-/// flattened (contiguous) frame is trivially single-segment. The checksum is
-/// streamed over the segments; no staging copy.
-FrameStatus decode_frame_segments(const SegmentedBytes& frame, SegmentedFrameView& out);
 
 }  // namespace shadow::wire

@@ -10,24 +10,10 @@ Bytes Registry::encode(const std::string& header, const std::any& body) const {
   return it->second.encode(body);
 }
 
-SegmentedBytes Registry::encode_segments(const std::string& header, const std::any& body) const {
+std::shared_ptr<const std::any> Registry::decode(const std::string& header, ByteView data) const {
   const auto it = entries_.find(header);
   SHADOW_CHECK_MSG(it != entries_.end(), "no codec registered for header '" + header + "'");
-  return it->second.encode_segments(body);
-}
-
-std::shared_ptr<const std::any> Registry::decode(const std::string& header,
-                                                 std::span<const std::uint8_t> data) const {
-  const auto it = entries_.find(header);
-  SHADOW_CHECK_MSG(it != entries_.end(), "no codec registered for header '" + header + "'");
-  return it->second.decode(data);
-}
-
-std::shared_ptr<const std::any> Registry::decode(const std::string& header,
-                                                 const SegmentedBytes& data) const {
-  const auto it = entries_.find(header);
-  SHADOW_CHECK_MSG(it != entries_.end(), "no codec registered for header '" + header + "'");
-  return it->second.decode_segments(data);
+  return it->second.decode(std::move(data));
 }
 
 std::vector<std::string> Registry::headers() const {

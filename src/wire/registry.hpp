@@ -26,9 +26,7 @@ namespace shadow::wire {
 class Registry {
  public:
   using EncodeFn = std::function<Bytes(const std::any&)>;
-  using EncodeSegmentsFn = std::function<SegmentedBytes(const std::any&)>;
-  using DecodeFn = std::function<std::shared_ptr<const std::any>(std::span<const std::uint8_t>)>;
-  using DecodeSegmentsFn = std::function<std::shared_ptr<const std::any>(const SegmentedBytes&)>;
+  using DecodeFn = std::function<std::shared_ptr<const std::any>(ByteView)>;
 
   /// Registers the codec for `header` (idempotent per type).
   template <Encodable T>
@@ -46,16 +44,8 @@ class Registry {
           SHADOW_CHECK_MSG(v != nullptr, "body type does not match its header's codec");
           return encode_body(*v);
         },
-        [](const std::any& body) {
-          const T* v = std::any_cast<T>(&body);
-          SHADOW_CHECK_MSG(v != nullptr, "body type does not match its header's codec");
-          return encode_body_segments(*v);
-        },
-        [](std::span<const std::uint8_t> data) {
-          return std::make_shared<const std::any>(decode_body<T>(data));
-        },
-        [](const SegmentedBytes& data) {
-          return std::make_shared<const std::any>(decode_body<T>(data));
+        [](ByteView data) {
+          return std::make_shared<const std::any>(decode_body<T>(std::move(data)));
         },
     };
     entries_.emplace(header, std::move(entry));
@@ -66,19 +56,9 @@ class Registry {
   /// Encodes a type-erased body registered under `header`.
   Bytes encode(const std::string& header, const std::any& body) const;
 
-  /// Zero-copy encode: pre-encoded sub-frames inside the body (EncodedBatch
-  /// payloads) are spliced by reference instead of re-serialized.
-  SegmentedBytes encode_segments(const std::string& header, const std::any& body) const;
-
-  /// Decodes body bytes into a fresh type-erased body.
-  std::shared_ptr<const std::any> decode(const std::string& header,
-                                         std::span<const std::uint8_t> data) const;
-
-  /// Ownership-aware decode: sub-frame views inside the decoded body share
-  /// the buffers backing `data`, so payloads survive past this frame without
-  /// a copy.
-  std::shared_ptr<const std::any> decode(const std::string& header,
-                                         const SegmentedBytes& data) const;
+  /// Decodes body bytes into a fresh type-erased body. Batch payloads inside
+  /// the decoded body share the buffer behind `data` when it is owned.
+  std::shared_ptr<const std::any> decode(const std::string& header, ByteView data) const;
 
   /// All registered headers, sorted (for the round-trip test suite).
   std::vector<std::string> headers() const;
@@ -87,9 +67,7 @@ class Registry {
   struct Entry {
     std::type_index type;
     EncodeFn encode;
-    EncodeSegmentsFn encode_segments;
     DecodeFn decode;
-    DecodeSegmentsFn decode_segments;
   };
   std::unordered_map<std::string, Entry> entries_;
 };

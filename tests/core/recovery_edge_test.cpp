@@ -140,19 +140,43 @@ ChainCluster small_cache_chain(sim::World& world, ClusterOptions opts) {
   return make_chain_cluster(world, opts, chain);
 }
 
-/// Counts the snapshot streams sent to `to`. With `damage_first` it loses the
-/// first stream's begin: the sender's link is faulted when that begin is
-/// sent and healed when the fault drops it (faults strike at delivery), so
-/// the stream's batches and done arrive with no stream open.
+/// Which frame of the first snapshot stream sent to the promoted spare is
+/// lost on the way.
+enum class Damage { kNone, kBegin, kDone };
+
+/// Counts the snapshot streams sent to `to` and the frames of the first one.
+/// kBegin loses the first stream's begin: the sender's link is faulted when
+/// that begin is sent and healed when the fault drops it (faults strike at
+/// delivery), so the stream's batches and done arrive with no stream open.
+/// kDone loses the first stream's done and nothing else: the link is cut
+/// right after the frame before it is sent (cuts strike at send) and healed
+/// once the sender's job has released the stream. That frame's index comes
+/// from an undamaged run of the same seed.
 struct StreamWatch final : sim::WorldObserver {
   sim::World& world;
   NodeId to;
-  bool damage_first;
+  Damage damage;
+  int done_index;  // kDone: position of the first stream's done (from 1)
   int streams = 0;
-  StreamWatch(sim::World& w, NodeId t, bool damage) : world(w), to(t), damage_first(damage) {}
+  int first_stream_frames = 0;
+  StreamWatch(sim::World& w, NodeId t, Damage d, int done_at)
+      : world(w), to(t), damage(d), done_index(done_at) {}
   void on_send(net::Time, NodeId from, NodeId dest, const sim::Message& m) override {
-    if (dest != to || m.header != kSnapBegin2Header) return;
-    if (++streams == 1 && damage_first) world.set_link_fault(from, to, {.corrupt_prob = 1.0});
+    if (dest != to) return;
+    if (m.header == kSnapBegin2Header) {
+      if (++streams == 1 && damage == Damage::kBegin) {
+        world.set_link_fault(from, to, {.corrupt_prob = 1.0});
+      }
+    }
+    const bool stream_frame = m.header == kSnapBegin2Header || m.header == kSnapBatch2Header ||
+                              m.header == kSnapDelete2Header || m.header == kSnapDone2Header;
+    if (streams != 1 || !stream_frame || done_index < 0) return;
+    ++first_stream_frames;
+    if (m.header == kSnapDone2Header) done_index = -1;  // the first stream is over
+    if (damage == Damage::kDone && first_stream_frames + 1 == done_index) {
+      world.set_partitioned(from, to, true);
+      world.schedule(0, [this, from] { world.set_partitioned(from, to, false); });
+    }
   }
   void on_wire_drop(net::Time, NodeId from, NodeId dest, const std::string& header, std::size_t,
                     wire::FrameStatus) override {
@@ -160,11 +184,16 @@ struct StreamWatch final : sim::WorldObserver {
   }
 };
 
+struct SpareRecovery {
+  int streams = 0;              // snapshot streams sent to the spare
+  int first_stream_frames = 0;  // frames of the first, begin through done
+};
+
 /// Three machines and a 16-transaction cache: after replica 0 crashes, the
 /// promoted spare (replica 2) can only be brought up by a snapshot stream.
-/// Returns the number of streams sent to it.
 template <typename MakeCluster>
-int recover_spare_by_snapshot(MakeCluster make_cluster, bool damage_first_stream) {
+SpareRecovery recover_spare_by_snapshot(MakeCluster make_cluster, Damage damage,
+                                        int done_index = 0) {
   sim::World world(7);
   auto registry = std::make_shared<workload::ProcedureRegistry>();
   workload::bank::register_procedures(*registry);
@@ -175,7 +204,7 @@ int recover_spare_by_snapshot(MakeCluster make_cluster, bool damage_first_stream
   opts.loader = [&bank](db::Engine& e) { workload::bank::load(e, bank); };
   auto cluster = make_cluster(world, opts);
 
-  StreamWatch watch(world, cluster.replica_nodes[2], damage_first_stream);
+  StreamWatch watch(world, cluster.replica_nodes[2], damage, done_index);
   world.add_observer(&watch);
 
   const NodeId node = world.add_node("client");
@@ -195,11 +224,11 @@ int recover_spare_by_snapshot(MakeCluster make_cluster, bool damage_first_stream
   world.run_until(600000000);
   EXPECT_TRUE(client.done()) << "committed " << client.committed();
   EXPECT_EQ(cluster.replicas[1]->state_digest(), cluster.replicas[2]->state_digest());
-  return watch.streams;
+  return {watch.streams, watch.first_stream_frames};
 }
 
 TEST(RecoveryEdge, SnapshotUsedWhenCacheTooSmall) {
-  EXPECT_GT(recover_spare_by_snapshot(small_cache_pbr, false), 0)
+  EXPECT_GT(recover_spare_by_snapshot(small_cache_pbr, Damage::kNone).streams, 0)
       << "spare at seq 0 needed a full snapshot";
 }
 
@@ -208,11 +237,33 @@ TEST(RecoveryEdge, SnapshotUsedWhenCacheTooSmall) {
 // that the backup would stay recovering and the new configuration would
 // never accept a transaction.
 TEST(RecoveryEdge, DamagedPbrSnapshotStreamIsFetchedAgain) {
-  EXPECT_EQ(recover_spare_by_snapshot(small_cache_pbr, true), 2);
+  EXPECT_EQ(recover_spare_by_snapshot(small_cache_pbr, Damage::kBegin).streams, 2);
 }
 
 TEST(RecoveryEdge, DamagedChainSnapshotStreamIsFetchedAgain) {
-  EXPECT_EQ(recover_spare_by_snapshot(small_cache_chain, true), 2);
+  EXPECT_EQ(recover_spare_by_snapshot(small_cache_chain, Damage::kBegin).streams, 2);
+}
+
+// A stream that loses its done frame shows no gap: it just never ends. The
+// backup notices the silence after a suspicion interval without a stream
+// frame and presents its position again.
+template <typename MakeCluster>
+void expect_lost_done_is_fetched_again(MakeCluster make_cluster) {
+  const SpareRecovery clean = recover_spare_by_snapshot(make_cluster, Damage::kNone);
+  ASSERT_EQ(clean.streams, 1);
+  ASSERT_GE(clean.first_stream_frames, 3) << "begin, at least one batch, done";
+  const SpareRecovery lost =
+      recover_spare_by_snapshot(make_cluster, Damage::kDone, clean.first_stream_frames);
+  EXPECT_EQ(lost.first_stream_frames, clean.first_stream_frames - 1) << "only the done is lost";
+  EXPECT_EQ(lost.streams, 2);
+}
+
+TEST(RecoveryEdge, LostPbrDoneIsFetchedAgain) {
+  expect_lost_done_is_fetched_again(small_cache_pbr);
+}
+
+TEST(RecoveryEdge, LostChainDoneIsFetchedAgain) {
+  expect_lost_done_is_fetched_again(small_cache_chain);
 }
 
 TEST(RecoveryEdge, DeposedPrimaryStopsAnsweringAfterFalseSuspicion) {

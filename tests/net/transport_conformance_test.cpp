@@ -2,9 +2,10 @@
 // the simulator (sim::World) and the real-socket backend (net::TcpTransport)
 // must agree on timer semantics (in-order firing, cancellation, stop
 // suppression), on rejecting structurally valid frames whose header has no
-// registered codec (traced drop, never a crash), and on the zero-copy
-// multicast guarantee (one frame encode per fan-out, observable both through
-// Transport::encode_count and the tracer's `net.encode_count` metric).
+// registered codec (traced drop, never a crash), and on the multicast
+// guarantee (one frame per fan-out, shared by every destination, observable
+// both through Transport::encode_count and the tracer's `net.encode_count`
+// metric).
 //
 // The TCP instantiation uses a single-host transport, so every delivery runs
 // the loopback path — which by design is the same validate/decode/dispatch
@@ -18,6 +19,7 @@
 #include <unistd.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -185,14 +187,12 @@ TEST_P(TransportConformanceTest, TimerContextCanSendAndChainTimers) {
 Message foreign_message() {
   const std::string header = "net-test/from-the-future";
   SHADOW_CHECK(!wire::registry().contains(header));
-  Bytes body{0xde, 0xad, 0xbe, 0xef};
+  const Bytes body{0xde, 0xad, 0xbe, 0xef};
   Message msg;
   msg.header = header;
   msg.body = std::make_shared<const std::any>(std::uint32_t{0});
-  wire::SegmentedBytes encoded;
-  encoded.append(ByteView::owning(std::move(body)));
-  msg.encoded_body = std::make_shared<const wire::SegmentedBytes>(std::move(encoded));
-  msg.wire_size = wire::frame_size(msg.header.size(), msg.encoded_body->size());
+  msg.frame = std::make_shared<const Bytes>(wire::encode_frame(header, body));
+  msg.wire_size = msg.frame->size();
   return msg;
 }
 
@@ -231,10 +231,12 @@ TEST_P(TransportConformanceTest, MulticastEncodesTheFrameExactlyOnce) {
   const NodeId src = add_node("src");
   std::vector<NodeId> sinks;
   int delivered = 0;
+  std::set<const Bytes*> frames_delivered;
   for (int i = 0; i < 3; ++i) {
     const NodeId sink = t.add_node("sink" + std::to_string(i), host0_);
     t.set_handler(sink, [&](NodeContext&, const Message& msg) {
       EXPECT_EQ(msg_body<PingBody>(msg).value, 99u);
+      frames_delivered.insert(msg.frame.get());
       ++delivered;
     });
     sinks.push_back(sink);
@@ -248,7 +250,9 @@ TEST_P(TransportConformanceTest, MulticastEncodesTheFrameExactlyOnce) {
   settle(80000);
 
   EXPECT_EQ(delivered, 3);
-  // One encode for the poke signal, one — not three — for the fan-out.
+  // One frame for the poke signal, one — not three — for the fan-out, and
+  // every destination decoded that one buffer.
+  EXPECT_EQ(frames_delivered.size(), 1u);
   EXPECT_EQ(t.encode_count() - encodes_before, 2u);
   EXPECT_EQ(tracer.metrics().counters().at("net.encode_count").value(), 2u);
 }

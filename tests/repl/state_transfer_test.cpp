@@ -143,7 +143,7 @@ TEST(ReplWire, V2BodiesRoundTrip) {
   begin.mode = static_cast<std::uint8_t>(TransferMode::kDelta);
   begin.state_version = 77;
   begin.tag = 5;
-  const auto b2 = wire::decode_body<SnapBegin2Body>(wire::encode_body(begin));
+  const auto b2 = wire::decode_body<SnapBegin2Body>(ByteView::owning(wire::encode_body(begin)));
   EXPECT_EQ(b2.config, 2u);
   EXPECT_EQ(b2.order, 40u);
   EXPECT_EQ(b2.mode, begin.mode);
@@ -157,7 +157,7 @@ TEST(ReplWire, V2BodiesRoundTrip) {
   batch.rows = 4;
   batch.payload = {1, 2, 3};
   batch.tag = 5;
-  const auto t2 = wire::decode_body<SnapBatch2Body>(wire::encode_body(batch));
+  const auto t2 = wire::decode_body<SnapBatch2Body>(ByteView::owning(wire::encode_body(batch)));
   EXPECT_EQ(t2.table, "accounts");
   EXPECT_EQ(t2.flags, batch.flags);
   EXPECT_EQ(t2.raw_len, 123u);
@@ -168,7 +168,7 @@ TEST(ReplWire, V2BodiesRoundTrip) {
   del.table = "accounts";
   del.keys = {db::Key{{db::Value(static_cast<std::int64_t>(8))}}};
   del.tag = 5;
-  const auto d2 = wire::decode_body<SnapDelete2Body>(wire::encode_body(del));
+  const auto d2 = wire::decode_body<SnapDelete2Body>(ByteView::owning(wire::encode_body(del)));
   EXPECT_EQ(d2.table, "accounts");
   ASSERT_EQ(d2.keys.size(), 1u);
   EXPECT_EQ(d2.tag, 5u);
@@ -208,7 +208,12 @@ void erase(db::Engine& e, std::int64_t k) {
 struct FrameLog final : net::TransportObserver {
   std::vector<std::pair<std::string, Bytes>> frames;
   void on_send(net::Time, NodeId, NodeId, const net::Message& m) override {
-    frames.emplace_back(m.header, m.encoded_body ? m.encoded_body->flatten() : Bytes{});
+    if (m.frame == nullptr) {
+      frames.emplace_back(m.header, Bytes{});
+      return;
+    }
+    const std::span<const std::uint8_t> body = m.body_bytes().span();
+    frames.emplace_back(m.header, Bytes(body.begin(), body.end()));
   }
 };
 

@@ -7,6 +7,7 @@
 // 1); scripts/check.sh re-runs the suite under several seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -248,22 +249,21 @@ TEST(WireCodec, EveryRegisteredTypeRoundTripsByteIdentically) {
   for (const sim::Message& m : samples) {
     SCOPED_TRACE(m.header);
     covered.insert(m.header);
-    ASSERT_NE(m.encoded_body, nullptr);
-    // decode the body bytes through the header's registered codec...
-    const auto decoded = registry().decode(m.header, *m.encoded_body);
-    // ...and re-encode: byte-identical, every time (segment boundaries are
-    // invisible to the content comparison).
-    const SegmentedBytes reencoded = registry().encode_segments(m.header, *decoded);
-    EXPECT_TRUE(reencoded == *m.encoded_body) << "re-encode must be byte-identical";
-    // The advertised wire size is the exact frame length.
-    const SegmentedBytes frame = encode_frame_segments(m.header, *m.encoded_body);
-    EXPECT_EQ(frame.size(), m.wire_size);
-    EXPECT_EQ(frame.size(), frame_size(m.header.size(), m.encoded_body->size()));
-    // And the frame itself validates and splits back into header + body.
-    SegmentedFrameView view;
-    ASSERT_EQ(decode_frame_segments(frame, view), FrameStatus::kOk);
+    ASSERT_NE(m.frame, nullptr);
+    // The advertised wire size is the exact frame length, and the frame
+    // validates and splits back into header + body.
+    EXPECT_EQ(m.frame->size(), m.wire_size);
+    FrameView view;
+    ASSERT_EQ(decode_frame(*m.frame, view), FrameStatus::kOk);
     EXPECT_EQ(view.header, m.header);
-    EXPECT_TRUE(view.body == *m.encoded_body);
+    EXPECT_EQ(m.frame->size(), frame_size(m.header.size(), view.body.size()));
+    // decode the body bytes through the header's registered codec...
+    const auto decoded = registry().decode(m.header, m.body_bytes());
+    // ...and re-encode: byte-identical, every time.
+    const Bytes reencoded = registry().encode(m.header, *decoded);
+    EXPECT_TRUE(std::ranges::equal(reencoded, view.body)) << "re-encode must be byte-identical";
+    // Framing the body on its own reproduces the frame make_msg wrote.
+    EXPECT_EQ(encode_frame(m.header, view.body), *m.frame);
   }
   // The samples above must cover every header this binary registered: a new
   // message type added to the stack without a sample here fails the suite.
@@ -276,7 +276,7 @@ TEST(WireCodec, EveryRegisteredTypeRoundTripsByteIdentically) {
 TEST(WireCodec, DecodeRejectsEveryTruncation) {
   for (const sim::Message& m : sample_messages()) {
     SCOPED_TRACE(m.header);
-    const Bytes frame = encode_frame_segments(m.header, *m.encoded_body).flatten();
+    const Bytes& frame = *m.frame;
     for (std::size_t len = 0; len < frame.size(); ++len) {
       const std::span<const std::uint8_t> prefix(frame.data(), len);
       FrameView view;
@@ -292,7 +292,7 @@ TEST(WireCodec, DecodeRejectsSeededCorruption) {
   std::uint64_t checksum_catches = 0;
   for (const sim::Message& m : sample_messages()) {
     SCOPED_TRACE(m.header);
-    const Bytes frame = encode_frame_segments(m.header, *m.encoded_body).flatten();
+    const Bytes& frame = *m.frame;
     for (int trial = 0; trial < 64; ++trial) {
       Bytes damaged = frame;
       const std::size_t pos = rng.index(damaged.size());

@@ -1,10 +1,12 @@
-// The zero-copy payload path, tested at the byte level: a batch is encoded
-// exactly once and travels thereafter as a spliced sub-frame. These tests pin
-// the three claims the counters advertise — re-framing splices instead of
-// re-encoding, decoded batches share the received frame's buffer, and a
+// The batch payload path, tested at the byte level: a batch is encoded
+// exactly once and travels thereafter as an encoded sub-frame that each
+// frame carrying it copies. These tests pin the claims the counters
+// advertise — framing copies the payload once per frame and never
+// re-encodes, decoded batches share the received frame's buffer, and a
 // corrupted sub-frame dies on the frame checksum and is traced as a drop.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,13 +35,13 @@ std::size_t deliver_payload_offset(const std::string& header) {
   return kFrameOverhead + header.size() + 8 + 8 + 4 + 4;
 }
 
-TEST(ZeroCopySubFrame, RoundTripSharesTheOriginalBufferWithoutReencoding) {
+TEST(ZeroCopySubFrame, RoundTripCopiesThePayloadOnceWithoutReencoding) {
   const consensus::EncodedBatch original{sample_batch(5)};
   const SpliceStats base = splice_stats();
 
   BytesWriter w;
   Codec<consensus::EncodedBatch>::encode(w, original);
-  const SegmentedBytes encoded = w.take_segments();
+  const ByteView encoded = ByteView::owning(w.take());
 
   BytesReader r(encoded);
   const consensus::EncodedBatch decoded = Codec<consensus::EncodedBatch>::decode(r);
@@ -49,29 +51,27 @@ TEST(ZeroCopySubFrame, RoundTripSharesTheOriginalBufferWithoutReencoding) {
   EXPECT_EQ(decoded.size(), original.size());
   EXPECT_EQ(decoded.commands(), original.commands());
 
-  // The round trip moved no payload bytes: encode spliced the original
-  // buffer, decode handed back a view into it.
-  ASSERT_EQ(original.payload().segments().size(), 1u);
-  ASSERT_EQ(decoded.payload().segments().size(), 1u);
-  EXPECT_EQ(decoded.payload().segments()[0].owner(), original.payload().segments()[0].owner());
-  EXPECT_EQ(decoded.payload().segments()[0].data(), original.payload().segments()[0].data());
+  // Encoding copied the payload into the writer's buffer, once; decoding
+  // handed back a view into that buffer, after the [count][len] prefix.
+  EXPECT_EQ(decoded.payload().owner(), encoded.owner());
+  EXPECT_EQ(decoded.payload().data(), encoded.data() + 8);
 
   const SpliceStats& now = splice_stats();
   EXPECT_EQ(now.batch_encodes, base.batch_encodes) << "round trip must not re-encode";
-  EXPECT_EQ(now.batch_splices - base.batch_splices, 1u);
-  EXPECT_EQ(now.batch_bytes_copied, base.batch_bytes_copied);
+  EXPECT_EQ(now.batch_bytes_copied - base.batch_bytes_copied, original.payload_size());
 }
 
-TEST(ZeroCopySubFrame, BuilderFoldsRelayedUnitsBySpliceAndFreshCommandsByOneEncode) {
-  // What the tob leader does per proposal: merge relayed sub-frames (by
-  // reference) with locally pending commands (one fresh encode for all).
+TEST(ZeroCopySubFrame, BuilderCopiesRelayedUnitsAndEncodesFreshCommandsOnce) {
+  // What the tob leader does per proposal: merge relayed sub-frames (copied
+  // as bytes) with locally pending commands (one fresh encode for all).
   const consensus::EncodedBatch relayed_a{sample_batch(3)};
   const consensus::EncodedBatch relayed_b{sample_batch(2, 64)};
+  const consensus::Command local{ClientId{9}, 100, "local"};
   const SpliceStats base = splice_stats();
 
   consensus::BatchBuilder builder;
   builder.add(relayed_a);
-  builder.add(consensus::Command{ClientId{9}, 100, "local"});
+  builder.add(local);
   builder.add(relayed_b);
   const consensus::EncodedBatch merged = builder.build();
 
@@ -79,20 +79,13 @@ TEST(ZeroCopySubFrame, BuilderFoldsRelayedUnitsBySpliceAndFreshCommandsByOneEnco
   EXPECT_EQ(merged.commands()[0], relayed_a.commands()[0]);
   EXPECT_EQ(merged.commands()[3].payload, "local");
   EXPECT_EQ(merged.commands()[4], relayed_b.commands()[0]);
-
-  bool shares_a = false;
-  bool shares_b = false;
-  for (const ByteView& seg : merged.payload().segments()) {
-    if (seg.owner() == relayed_a.payload().segments()[0].owner()) shares_a = true;
-    if (seg.owner() == relayed_b.payload().segments()[0].owner()) shares_b = true;
-  }
-  EXPECT_TRUE(shares_a) << "relayed unit A was copied instead of spliced";
-  EXPECT_TRUE(shares_b) << "relayed unit B was copied instead of spliced";
+  EXPECT_EQ(merged.payload_size(),
+            relayed_a.payload_size() + body_size(local) + relayed_b.payload_size());
 
   const SpliceStats& now = splice_stats();
   EXPECT_EQ(now.batch_encodes - base.batch_encodes, 1u) << "one encode for the fresh region";
-  EXPECT_EQ(now.batch_splices - base.batch_splices, 2u);
-  EXPECT_EQ(now.batch_bytes_copied, base.batch_bytes_copied);
+  EXPECT_EQ(now.batch_bytes_copied - base.batch_bytes_copied,
+            relayed_a.payload_size() + relayed_b.payload_size());
 }
 
 TEST(ZeroCopySubFrame, FiveHopsReframeByteIdenticallyWithoutReencoding) {
@@ -102,21 +95,23 @@ TEST(ZeroCopySubFrame, FiveHopsReframeByteIdenticallyWithoutReencoding) {
   const consensus::EncodedBatch origin{sample_batch(8)};
   const SpliceStats base = splice_stats();
 
-  const SegmentedBytes first = encode_body_segments(tob::DeliverBody{3, 0, origin});
-  SegmentedBytes prev = first;
+  const Bytes first = encode_body(tob::DeliverBody{3, 0, origin});
+  ByteView prev = ByteView::owning(Bytes(first));
   consensus::EncodedBatch last = origin;
   for (int hop = 0; hop < 5; ++hop) {
     const tob::DeliverBody received = decode_body<tob::DeliverBody>(prev);
+    EXPECT_EQ(received.batch.payload().owner(), prev.owner()) << "hop " << hop << " copied";
     last = received.batch;
-    prev = encode_body_segments(tob::DeliverBody{3, 0, received.batch});
-    EXPECT_TRUE(prev == first) << "hop " << hop << " changed the bytes";
+    prev = ByteView::owning(encode_body(tob::DeliverBody{3, 0, received.batch}));
+    EXPECT_TRUE(prev == ByteView::borrowed(first)) << "hop " << hop << " changed the bytes";
   }
   EXPECT_EQ(last.commands(), origin.commands());
 
+  // One payload copy per framing (the first and five re-framings), none
+  // per decode.
   const SpliceStats& now = splice_stats();
   EXPECT_EQ(now.batch_encodes, base.batch_encodes) << "a hop re-encoded the batch";
-  EXPECT_EQ(now.batch_bytes_copied, base.batch_bytes_copied);
-  EXPECT_EQ(now.batch_splices - base.batch_splices, 6u);  // one per framing
+  EXPECT_EQ(now.batch_bytes_copied - base.batch_bytes_copied, 6 * origin.payload_size());
 }
 
 TEST(ZeroCopySubFrame, DecodedBatchSharesTheReceivedFrameBuffer) {
@@ -125,42 +120,36 @@ TEST(ZeroCopySubFrame, DecodedBatchSharesTheReceivedFrameBuffer) {
   // into that buffer — the same bytes, not a copy.
   const consensus::EncodedBatch batch{sample_batch(6, 48)};
   const std::string header = tob::kDeliverHeader;
-  const SegmentedBytes body = encode_body_segments(tob::DeliverBody{4, 0, batch});
-  Bytes contiguous = encode_frame_segments(header, body).flatten();
-  SegmentedBytes received;
-  received.append(ByteView::owning(std::move(contiguous)));
-  const OwnedBytes owner = received.segments()[0].owner();
+  const OwnedBytes frame = std::make_shared<const Bytes>(
+      encode_frame(header, encode_body(tob::DeliverBody{4, 0, batch})));
 
   const SpliceStats base = splice_stats();
-  SegmentedFrameView view;
-  ASSERT_EQ(decode_frame_segments(received, view), FrameStatus::kOk);
+  FrameView view;
+  ASSERT_EQ(decode_frame(*frame, view), FrameStatus::kOk);
   EXPECT_EQ(view.header, header);
 
-  BytesReader r(view.body);
+  BytesReader r(ByteView(frame, kFrameOverhead + header.size(), view.body.size()));
   const tob::DeliverBody decoded = Codec<tob::DeliverBody>::decode(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.batch, batch);
 
-  ASSERT_EQ(decoded.batch.payload().segments().size(), 1u);
-  const ByteView& payload = decoded.batch.payload().segments()[0];
-  EXPECT_EQ(payload.owner(), owner) << "payload must share the received buffer";
-  EXPECT_EQ(payload.data(), owner->data() + deliver_payload_offset(header));
+  const ByteView& payload = decoded.batch.payload();
+  EXPECT_EQ(payload.owner(), frame) << "payload must share the received buffer";
+  EXPECT_EQ(payload.data(), frame->data() + deliver_payload_offset(header));
   EXPECT_EQ(payload.size(), batch.payload_size());
 
   const SpliceStats& now = splice_stats();
   EXPECT_EQ(now.batch_encodes, base.batch_encodes);
-  EXPECT_EQ(now.batch_bytes_copied, base.batch_bytes_copied);
+  EXPECT_EQ(now.batch_bytes_copied, base.batch_bytes_copied) << "receiving copies nothing";
 }
 
 TEST(ZeroCopySubFrame, FlippedByteInsideTheSplicedSubFrameFailsTheChecksum) {
-  // Corruption inside the spliced region is indistinguishable from any other
-  // payload damage: the frame checksum covers the sub-frame bytes it never
-  // copied, so a single flipped bit anywhere in the batch payload kills the
-  // frame.
+  // Corruption inside the batch sub-frame is indistinguishable from any
+  // other payload damage: the frame checksum covers the sub-frame bytes, so
+  // a single flipped bit anywhere in the batch payload kills the frame.
   const consensus::EncodedBatch batch{sample_batch(4, 100)};
   const std::string header = tob::kDeliverHeader;
-  const SegmentedBytes body = encode_body_segments(tob::DeliverBody{2, 7, batch});
-  const Bytes pristine = encode_frame_segments(header, body).flatten();
+  const Bytes pristine = encode_frame(header, encode_body(tob::DeliverBody{2, 7, batch}));
 
   const std::size_t payload_offset = deliver_payload_offset(header);
   const std::size_t payload_len = batch.payload_size();
@@ -183,8 +172,8 @@ TEST(ZeroCopySubFrame, FlippedByteInsideTheSplicedSubFrameFailsTheChecksum) {
 
 TEST(ZeroCopySubFrame, CorruptedSubFrameIsDroppedAndTracedAsMsgDrop) {
   // End-to-end: seeded single-byte corruption on a link whose frames are
-  // ~99% spliced batch payload. Every flip lands in (or near) the sub-frame,
-  // every frame dies on the checksum, and every death is traced as msg_drop.
+  // ~99% batch payload. Every flip lands in (or near) the sub-frame, every
+  // frame dies on the checksum, and every death is traced as msg_drop.
   sim::World world(21);
   obs::Tracer tracer({.capacity = 1 << 12, .record_messages = false});
   tracer.attach(world);
@@ -195,18 +184,23 @@ TEST(ZeroCopySubFrame, CorruptedSubFrameIsDroppedAndTracedAsMsgDrop) {
   world.set_handler(b, [&](net::NodeContext&, const sim::Message&) { ++delivered; });
   world.set_link_fault(a, b, {.corrupt_prob = 1.0, .truncate_prob = 0.0});
 
+  const SpliceStats base = splice_stats();
+  std::uint64_t payload_bytes = 0;
   for (std::uint64_t i = 0; i < 10; ++i) {
     consensus::Batch one;
     one.push_back(consensus::Command{ClientId{3}, i + 1, std::string(4096, 'z')});
-    world.post(a, b,
-               sim::make_msg(tob::kDeliverHeader,
-                             tob::DeliverBody{i, i, consensus::EncodedBatch{std::move(one)}}));
+    const consensus::EncodedBatch batch{std::move(one)};
+    payload_bytes += batch.payload_size();
+    world.post(a, b, sim::make_msg(tob::kDeliverHeader, tob::DeliverBody{i, i, batch}));
   }
   world.run_until(10000000);
 
   EXPECT_EQ(delivered, 0u) << "corrupted frames must never deliver";
   EXPECT_EQ(world.frames_faulted(), 10u);
   EXPECT_EQ(world.wire_drops(), 10u);
+  // Each frame copied its payload once when it was built; the fault model
+  // damages a private copy of the frame, and nothing reached a decoder.
+  EXPECT_EQ(splice_stats().batch_bytes_copied - base.batch_bytes_copied, payload_bytes);
 
   std::uint64_t drops = 0;
   std::uint64_t checksum_drops = 0;
