@@ -79,10 +79,10 @@ int main() {
     net::Time snapshot_done = 0;
     void on_send(net::Time t, NodeId, NodeId, const sim::Message& m) override {
       if (m.header == tob::kBroadcastHeader && proposal_broadcast == 0) proposal_broadcast = t;
-      if (m.header == core::kPbrRecoveredHeader) snapshot_done = t;
+      if (m.header == core::kReplRecoveredHeader) snapshot_done = t;
     }
     void on_deliver(net::Time t, NodeId, const sim::Message& m) override {
-      if (m.header == core::kPbrDeliverHeader && proposal_delivered == 0) {
+      if (m.header == core::kReplDeliverHeader && proposal_delivered == 0) {
         proposal_delivered = t;
       }
     }

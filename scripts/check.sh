@@ -15,8 +15,9 @@
 #     replication-blind (no repl/ includes), src/repl must never include
 #     sim/ or net/tcp, the versioned storage engine (src/db) must
 #     never include consensus/, tob/, or repl/ headers, state transfer
-#     keeps a single stream format, and each message stays one contiguous
-#     buffer (no scatter-gather byte layer);
+#     keeps a single stream format, each message stays one contiguous
+#     buffer (no scatter-gather byte layer), and PBR and chain replication
+#     keep one recovery core (no per-protocol recovery headers);
 #   * an ASan+UBSan build of the whole tree with the test suites run under
 #     it (decoded batches are views into received frames shared across
 #     the I/O, consensus and executor threads, so buffer ownership must
@@ -110,6 +111,25 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "FAIL: the scatter-gather byte layer is back (one contiguous buffer per message)" >&2
     exit 1
   fi
+
+  # One recovery core: PBR and chain replication share core/recovery.cpp's
+  # election, state transfer, failure detection and reconfiguration over
+  # one set of repl-* headers and one ::repl-reconfig proc. Per-protocol
+  # recovery headers or procs, or a second copy of the core, must not come
+  # back.
+  if grep -rnE '"(pbr|chain)-(elect|catchup|recovered|hb|deliver)"|::(pbr|chain)-reconfig' \
+       src bench examples; then
+    echo "FAIL: per-protocol recovery headers are back (use core/recovery.hpp's)" >&2
+    exit 1
+  fi
+  for fn in maybe_finish_election send_state_to refetch_state; do
+    defs="$(grep -rnE "^[^ /#].*::${fn}\(" src --include='*.cpp' || true)"
+    if [[ "$(grep -c . <<<"${defs}")" -ne 1 ]]; then
+      echo "FAIL: ${fn} must have exactly one definition (core/recovery.cpp):" >&2
+      echo "${defs}" >&2
+      exit 1
+    fi
+  done
 
   echo "== strict: -Wall -Wextra -Werror build of shadow_net + shadow_obs + shadow_wire =="
   cmake -B build-strict -S . \

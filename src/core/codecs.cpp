@@ -7,6 +7,7 @@
 #include "core/chain.hpp"
 #include "core/migrate.hpp"
 #include "core/pbr.hpp"
+#include "core/recovery.hpp"
 #include "core/replica_common.hpp"
 #include "core/rosnap.hpp"
 #include "core/smr.hpp"
@@ -73,21 +74,17 @@ void register_wire_codecs_impl() {
   reg.ensure<repl::SnapDone2Body>(kMigSnapDoneHeader);
   reg.ensure<MigSnapBody>(kMigSnapRiderHeader);
 
-  // Primary/backup and chain replication share the forwarding header (the
-  // body's config scopes it to whichever protocol the receiver runs).
+  // Primary/backup and chain replication: the forwarding header (the body's
+  // config scopes it to whichever protocol the receiver runs), the one
+  // recovery vocabulary of core/recovery.hpp, and PBR's ack and redirect
+  // (chain redirects clients with the same body).
   reg.ensure<ReplForwardBody>(kReplFwdHeader);
+  reg.ensure<ReplElectBody>(kReplElectHeader);
+  reg.ensure<ReplCatchupBody>(kReplCatchupHeader);
+  reg.ensure<ReplAckBody>(kReplRecoveredHeader);
+  reg.ensure<consensus::Command>(kReplDeliverHeader);
   reg.ensure<ReplAckBody>(kPbrAckHeader);
-  reg.ensure<ReplElectBody>(kPbrElectHeader);
-  reg.ensure<ReplCatchupBody>(kPbrCatchupHeader);
-  reg.ensure<ReplAckBody>(kPbrRecoveredHeader);
   reg.ensure<RedirectBody>(kPbrRedirectHeader);
-  reg.ensure<consensus::Command>(kPbrDeliverHeader);
-
-  // Chain replication (shares the Repl* body shapes and the redirect body).
-  reg.ensure<ReplElectBody>(kChainElectHeader);
-  reg.ensure<ReplCatchupBody>(kChainCatchupHeader);
-  reg.ensure<ReplAckBody>(kChainRecoveredHeader);
-  reg.ensure<consensus::Command>(kChainDeliverHeader);
 }
 
 }  // namespace

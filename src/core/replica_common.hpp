@@ -1,8 +1,8 @@
 // Machinery shared by the ShadowDB replication protocols: transaction
 // execution against the local engine, at-most-once bookkeeping, the
-// server-side cost model, the replication message bodies that PBR and chain
-// replication exchange (same shapes under protocol-specific headers), and the
-// one snapshot stream PBR, chain and SMR state transfer all mount.
+// server-side cost model, the forward and ack bodies PBR and chain
+// replication exchange (their recovery traffic is core/recovery.hpp's), and
+// the one snapshot stream PBR, chain and SMR state transfer all mount.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +23,10 @@ namespace shadow::core {
 
 // -- replication message bodies ----------------------------------------------
 //
-// PBR and chain replication exchange structurally identical messages; the
-// forwarding step even shares one header ("repl-fwd") since the body already
-// carries the configuration that scopes it. Snapshot streams use the
-// repl/wire.hpp bodies directly (see the stream headers below).
+// PBR and chain replication forward transactions under one header
+// ("repl-fwd"), since the body already carries the configuration that scopes
+// it. Snapshot streams use the repl/wire.hpp bodies directly (see the stream
+// headers below).
 
 /// Primary → backup (or chain successor), and chain node → successor:
 /// execute this transaction. One header for both protocols — a node is only
@@ -45,18 +45,6 @@ struct ReplForwardBody {
 struct ReplAckBody {
   ConfigSeq config = 0;
   std::uint64_t order = 0;
-};
-
-/// Election round: (configuration, highest executed order).
-struct ReplElectBody {
-  ConfigSeq config = 0;
-  std::uint64_t executed = 0;
-};
-
-/// Catch-up from the bounded executed-transaction cache.
-struct ReplCatchupBody {
-  ConfigSeq config = 0;
-  std::vector<std::pair<std::uint64_t, workload::TxnRequest>> txns;
 };
 
 // The snapshot stream (repl/state_transfer.hpp) every protocol's state
@@ -203,34 +191,6 @@ struct Codec<core::ReplAckBody> {
     core::ReplAckBody v;
     v.config = r.u64();
     v.order = r.u64();
-    return v;
-  }
-};
-
-template <>
-struct Codec<core::ReplElectBody> {
-  static void encode(BytesWriter& w, const core::ReplElectBody& v) {
-    w.u64(v.config);
-    w.u64(v.executed);
-  }
-  static core::ReplElectBody decode(BytesReader& r) {
-    core::ReplElectBody v;
-    v.config = r.u64();
-    v.executed = r.u64();
-    return v;
-  }
-};
-
-template <>
-struct Codec<core::ReplCatchupBody> {
-  static void encode(BytesWriter& w, const core::ReplCatchupBody& v) {
-    w.u64(v.config);
-    Codec<std::vector<std::pair<std::uint64_t, workload::TxnRequest>>>::encode(w, v.txns);
-  }
-  static core::ReplCatchupBody decode(BytesReader& r) {
-    core::ReplCatchupBody v;
-    v.config = r.u64();
-    v.txns = Codec<std::vector<std::pair<std::uint64_t, workload::TxnRequest>>>::decode(r);
     return v;
   }
 };

@@ -70,10 +70,8 @@ SmrReplica::SmrReplica(net::Transport& world, NodeId self, tob::TobNode& tob,
   world_.set_handler(self_, [this](net::NodeContext& ctx, const net::Message& msg) {
     on_message(ctx, msg);
   });
-  if (config_.enable_failure_detection) {
-    world_.schedule_timer_for_node(self_, world_.now() + config_.hb_period,
-                                   [this](net::NodeContext& ctx) { on_heartbeat_tick(ctx); });
-  }
+  world_.schedule_timer_for_node(self_, world_.now() + config_.hb_period,
+                                 [this](net::NodeContext& ctx) { on_heartbeat_tick(ctx); });
   if (config_.router != nullptr && config_.router->shard_count() > 1) {
     view_ = std::make_unique<RoutingView>(config_.router);
     // The parked-drain re-entry runs the same diversion checks as a fresh

@@ -59,7 +59,6 @@ struct SmrConfig {
   net::Time hb_period = 1000000;        // 1 s heartbeats between replicas
   net::Time suspect_timeout = 10000000; // 10 s detection (paper's Fig. 10 setting)
   std::size_t snapshot_batch_bytes = 50 * 1024;
-  bool enable_failure_detection = true;
   /// Execute transactions on a dedicated DB executor thread, fed decided
   /// batches through a bounded SPSC ring (see core/pipeline.hpp). Only
   /// meaningful on a transport whose event loop may run concurrently with

@@ -13,12 +13,6 @@ net::Message make_dsl_msg(const std::string& header, ValuePtr body) {
   return net::make_msg(header, std::move(body), wire);
 }
 
-const ValuePtr& dsl_body(const net::Message& msg) {
-  const ValuePtr* body = net::msg_body_if<ValuePtr>(msg);
-  SHADOW_CHECK_MSG(body != nullptr, "message '" + msg.header + "' is not a DSL message");
-  return *body;
-}
-
 namespace {
 
 using TapPtr = std::shared_ptr<const OutputTap>;

@@ -28,7 +28,4 @@ gpm::SystemGenerator compile_to_gpm(const Spec& spec, std::vector<NodeId> locs,
 /// Builds a DSL message (body is a ValuePtr; wire size derived from it).
 net::Message make_dsl_msg(const std::string& header, ValuePtr body);
 
-/// Extracts the DSL body of a message (throws on non-DSL messages).
-const ValuePtr& dsl_body(const net::Message& msg);
-
 }  // namespace shadow::eventml

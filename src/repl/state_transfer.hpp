@@ -4,8 +4,7 @@
 // replicas, shared by every replication protocol in the stack:
 //
 //   * SMR crash-restart rejoin and spare promotion (core/smr.cpp)
-//   * primary-backup recovery (core/pbr.cpp)
-//   * chain-replication recovery (core/chain.cpp)
+//   * primary-backup and chain-replication recovery (core/recovery.cpp)
 //   * shard-range migration (core/migrate.cpp)
 //
 // A transfer is one `begin` message (schemas + dedup floor + protocol

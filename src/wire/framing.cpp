@@ -47,17 +47,6 @@ Bytes encode_frame(std::string_view header, std::span<const std::uint8_t> body) 
   return build_frame(header, [&](BytesWriter& w) { w.raw(body); });
 }
 
-const char* to_string(FrameStatus status) {
-  switch (status) {
-    case FrameStatus::kOk: return "ok";
-    case FrameStatus::kBadMagic: return "bad_magic";
-    case FrameStatus::kTruncated: return "truncated";
-    case FrameStatus::kChecksumMismatch: return "checksum_mismatch";
-    case FrameStatus::kUnknownHeader: return "unknown_header";
-  }
-  return "unknown";
-}
-
 FrameStatus decode_frame(std::span<const std::uint8_t> frame, FrameView& out) {
   if (frame.size() < kFrameOverhead) return FrameStatus::kTruncated;
   BytesReader r(frame);

@@ -63,8 +63,6 @@ enum class FrameStatus : std::uint8_t {
   kUnknownHeader = 4,     // valid frame, but no codec registered for its header
 };
 
-const char* to_string(FrameStatus status);
-
 /// Parsed view into a valid frame (spans point into the caller's buffer).
 struct FrameView {
   std::string_view header;

@@ -158,7 +158,7 @@ TEST(ChainReplication, NoAckTrafficInNormalCase) {
   ASSERT_TRUE(client->done());
   EXPECT_EQ(counter.sends["repl-fwd"], 2 * 30);  // head→mid, mid→tail per txn
   EXPECT_EQ(counter.sends["pbr-ack"], 0);
-  EXPECT_EQ(counter.sends["chain-recovered"], 0);
+  EXPECT_EQ(counter.sends["repl-recovered"], 0);
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ TEST(RecoveryEdge, CatchupUsedWhenCacheCovers) {
     int catchups = 0;
     int snapshots = 0;
     void on_send(net::Time, NodeId, NodeId, const sim::Message& m) override {
-      if (m.header == kPbrCatchupHeader) ++catchups;
+      if (m.header == kReplCatchupHeader) ++catchups;
       if (m.header == kSnapBegin2Header) ++snapshots;
     }
   } counter;
@@ -264,6 +264,93 @@ TEST(RecoveryEdge, LostPbrDoneIsFetchedAgain) {
 
 TEST(RecoveryEdge, LostChainDoneIsFetchedAgain) {
   expect_lost_done_is_fetched_again(small_cache_chain);
+}
+
+/// Watches one replica's snapshot install: the streams it begins, their
+/// batch frames, and the repl-fwd messages sent to it after it began a stream
+/// and before it handled that stream's done.
+struct InstallWatch final : sim::WorldObserver {
+  NodeId to;
+  bool installing = false;
+  int streams = 0;
+  int batches = 0;
+  int forwards_mid_install = 0;
+  explicit InstallWatch(NodeId t) : to(t) {}
+  void on_deliver(net::Time, NodeId node, const sim::Message& m) override {
+    if (node != to) return;
+    if (m.header == kSnapBegin2Header) {
+      installing = true;
+      ++streams;
+    } else if (m.header == kSnapBatch2Header) {
+      ++batches;
+    } else if (m.header == kSnapDone2Header) {
+      installing = false;
+    }
+  }
+  void on_send(net::Time, NodeId, NodeId dest, const sim::Message& m) override {
+    if (dest == to && m.header == kReplFwdHeader && installing) ++forwards_mid_install;
+  }
+};
+
+// The overlap optimization (step 7): with three members, the new primary
+// resumes as soon as one backup is up to date, while the promoted spare is
+// still installing a multi-frame snapshot. Forwards sent to the spare in the
+// meantime queue behind its stream and apply after it; nothing answered is
+// lost and every replica ends in the same state.
+TEST(RecoveryEdge, OverlapResumesWhileSnapshotInstalls) {
+  sim::World world(21);
+  auto registry = std::make_shared<workload::ProcedureRegistry>();
+  workload::bank::register_procedures(*registry);
+  const workload::bank::BankConfig bank{10000, 0};
+  ClusterOptions opts;
+  opts.registry = registry;
+  opts.machines = 4;
+  opts.db_replicas = 3;
+  opts.db_spares = 1;
+  opts.loader = [&bank](db::Engine& e) { workload::bank::load(e, bank); };
+  opts.pbr.suspect_timeout = 1500000;
+  opts.pbr.hb_period = 300000;
+  opts.pbr.txn_cache_max = 16;  // the spare can only be brought up by a snapshot
+  opts.pbr.snapshot_batch_bytes = 4096;
+  ASSERT_TRUE(opts.pbr.overlap_state_transfer);
+  PbrCluster cluster = make_pbr_cluster(world, opts);
+  InstallWatch watch(cluster.replica_nodes[3]);
+  world.add_observer(&watch);
+
+  std::int64_t generated_total = 0;
+  std::vector<std::unique_ptr<DbClient>> clients;
+  for (std::uint32_t c = 1; c <= 3; ++c) {
+    DbClient::Options copts;
+    copts.mode = DbClient::Mode::kDirect;
+    copts.targets = cluster.request_targets();
+    copts.txn_limit = 400;
+    copts.retry_timeout = 700000;
+    auto rng = std::make_shared<Rng>(c * 31);
+    clients.push_back(std::make_unique<DbClient>(
+        world, world.add_node("client" + std::to_string(c)), ClientId{c}, copts,
+        [rng, bank, &generated_total]() {
+          auto params = workload::bank::make_deposit(*rng, bank);
+          generated_total += params[1].as_int();
+          return std::make_pair(std::string(workload::bank::kDepositProc), std::move(params));
+        }));
+    clients.back()->start();
+  }
+  world.run_until(300000);
+  world.crash(cluster.replica_nodes[0]);
+  world.run_until(600000000);
+
+  EXPECT_EQ(watch.streams, 1);
+  EXPECT_GE(watch.batches, 2) << "a multi-frame snapshot";
+  EXPECT_GT(watch.forwards_mid_install, 0) << "the primary resumed before the spare installed";
+  for (const auto& client : clients) {
+    ASSERT_TRUE(client->done()) << "committed " << client->committed();
+    EXPECT_EQ(client->committed(), 400u);
+  }
+  for (std::size_t i = 1; i < cluster.replicas.size(); ++i) {
+    EXPECT_EQ(cluster.replicas[i]->state_digest(), cluster.replicas[1]->state_digest());
+    EXPECT_EQ(workload::bank::total_balance(cluster.replicas[i]->engine()),
+              1000 * bank.accounts + generated_total);
+  }
 }
 
 TEST(RecoveryEdge, DeposedPrimaryStopsAnsweringAfterFalseSuspicion) {

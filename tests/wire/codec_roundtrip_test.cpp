@@ -19,7 +19,9 @@
 #include "consensus/paxos.hpp"
 #include "consensus/two_third.hpp"
 #include "core/chain.hpp"
+#include "core/migrate.hpp"
 #include "core/pbr.hpp"
+#include "core/recovery.hpp"
 #include "core/rosnap.hpp"
 #include "core/smr.hpp"
 #include "core/twopc.hpp"
@@ -117,8 +119,8 @@ std::vector<sim::Message> sample_messages() {
   samples.push_back(workload::make_request_msg(req));
   samples.push_back(workload::make_response_msg(
       workload::TxnResponse{ClientId{7}, 42, true, {req.params}, ""}));
-  // core replication bodies under the PBR and chain header families, and the
-  // snapshot stream all three protocols share.
+  // core replication bodies (PBR and chain share the forward and recovery
+  // headers), and the snapshot stream all three protocols share.
   const core::ReplForwardBody fwd{2, 17, req};
   const core::ReplAckBody ack{2, 17};
   const core::ReplElectBody elect{3, 20};
@@ -147,23 +149,16 @@ std::vector<sim::Message> sample_messages() {
   done.frames = 2;
   samples.push_back(sim::make_msg(core::kReplFwdHeader, fwd));
   samples.push_back(sim::make_msg(core::kPbrAckHeader, ack));
-  for (const char* header : {core::kPbrElectHeader, core::kChainElectHeader}) {
-    samples.push_back(sim::make_msg(header, elect));
-  }
-  for (const char* header : {core::kPbrCatchupHeader, core::kChainCatchupHeader}) {
-    samples.push_back(sim::make_msg(header, catchup));
-  }
+  samples.push_back(sim::make_msg(core::kReplElectHeader, elect));
+  samples.push_back(sim::make_msg(core::kReplCatchupHeader, catchup));
   samples.push_back(sim::make_msg(core::kSnapBegin2Header, begin));
   samples.push_back(sim::make_msg(core::kSnapBatch2Header, batch));
   samples.push_back(sim::make_msg(core::kSnapDelete2Header, del));
   samples.push_back(sim::make_msg(core::kSnapDone2Header, done));
-  for (const char* header : {core::kPbrRecoveredHeader, core::kChainRecoveredHeader}) {
-    samples.push_back(sim::make_msg(header, ack));
-  }
+  samples.push_back(sim::make_msg(core::kReplRecoveredHeader, ack));
   samples.push_back(sim::make_msg(core::kPbrRedirectHeader,
                                   core::RedirectBody{NodeId{2}, 3, true}));
-  samples.push_back(sim::make_msg(core::kPbrDeliverHeader, sample_command(13)));
-  samples.push_back(sim::make_msg(core::kChainDeliverHeader, sample_command(13)));
+  samples.push_back(sim::make_msg(core::kReplDeliverHeader, sample_command(13)));
   samples.push_back(sim::make_msg(
       "smr-deliver", core::DeliverHandoff{5, 6, sample_command(14)}));
   // read-only snapshot protocol (core/rosnap.hpp) — exercise every optional
@@ -233,6 +228,20 @@ std::vector<sim::Message> sample_messages() {
     xs.coords.push_back(std::move(coord));
     xs.last_decided = {{7, 40}};
     samples.push_back(sim::make_msg(core::kXsSnapHeader, xs));
+  }
+  // Migration rider on rejoin/promotion snapshots: a committed override and
+  // one in-flight migration with its ready set and buffered pull batches.
+  {
+    core::MigSnapBody mig;
+    mig.overrides.push_back(core::RangeOverride{"accounts", 0, 100, 0, 1});
+    core::MigSnapBody::Inflight inflight;
+    inflight.spec = core::RangeSpec{4, "accounts", 100, 200, 0, 1, NodeId{2}};
+    inflight.ready = {3, 5};
+    inflight.buffered = 1;
+    inflight.batches = {db::Engine::SnapshotBatch{"accounts", Bytes{1, 2, 3}, 2},
+                        db::Engine::SnapshotBatch{"accounts", Bytes{4, 5}, 1}};
+    mig.inflight.push_back(std::move(inflight));
+    samples.push_back(sim::make_msg(core::kMigSnapRiderHeader, mig));
   }
   // baselines
   samples.push_back(sim::make_msg(
@@ -309,13 +318,13 @@ TEST(WireCodec, DecodeRejectsSeededCorruption) {
 }
 
 TEST(WireCodec, SignalsFrameWithEmptyBody) {
-  const sim::Message hb = sim::make_signal("pbr-hb");
-  EXPECT_EQ(hb.wire_size, kFrameOverhead + std::string("pbr-hb").size());
+  const sim::Message hb = sim::make_signal(core::kReplHbHeader);
+  EXPECT_EQ(hb.wire_size, kFrameOverhead + std::string(core::kReplHbHeader).size());
   const Bytes frame = encode_frame(hb.header, {});
   EXPECT_EQ(frame.size(), hb.wire_size);
   FrameView view;
   ASSERT_EQ(decode_frame(frame, view), FrameStatus::kOk);
-  EXPECT_EQ(view.header, "pbr-hb");
+  EXPECT_EQ(view.header, core::kReplHbHeader);
   EXPECT_TRUE(view.body.empty());
 }
 
