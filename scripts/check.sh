@@ -17,7 +17,9 @@
 #     never include consensus/, tob/, or repl/ headers, state transfer
 #     keeps a single stream format, each message stays one contiguous
 #     buffer (no scatter-gather byte layer), and PBR and chain replication
-#     keep one recovery core (no per-protocol recovery headers);
+#     keep one recovery core (no per-protocol recovery headers), the TOB
+#     keeps no per-command delivery history, and one helper builds the
+#     consensus safety recorder;
 #   * an ASan+UBSan build of the whole tree with the test suites run under
 #     it (decoded batches are views into received frames shared across
 #     the I/O, consensus and executor threads, so buffer ownership must
@@ -130,6 +132,22 @@ if [[ "${1:-}" != "--fast" ]]; then
       exit 1
     fi
   done
+
+  # Bounded ordering state: a TOB node forgets each slot once delivered and
+  # deduplicates through per-client windows, so no per-command history may
+  # come back. The consensus safety recorder is built in exactly one place
+  # (core::detail::make_group_safety), which skips it where it cannot check
+  # agreement (a TCP process sees one acceptor).
+  if grep -rnw 'delivery_log_\|delivered_keys_\|delivered_floor_' src/tob; then
+    echo "FAIL: per-command delivery history is back in src/tob (use the dedup windows)" >&2
+    exit 1
+  fi
+  recorders="$(grep -rnE '(make_shared|make_unique)<(consensus::)?SafetyRecorder>|new (consensus::)?SafetyRecorder\b|\bSafetyRecorder [A-Za-z_]+ *[;{(]' src || true)"
+  if [[ "$(grep -c . <<<"${recorders}")" -ne 1 ]]; then
+    echo "FAIL: exactly one place in src/ may construct a consensus::SafetyRecorder:" >&2
+    echo "${recorders}" >&2
+    exit 1
+  fi
 
   echo "== strict: -Wall -Wextra -Werror build of shadow_net + shadow_obs + shadow_wire =="
   cmake -B build-strict -S . \

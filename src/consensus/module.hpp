@@ -42,6 +42,13 @@ class ConsensusModule {
   /// for the same slot.
   virtual std::optional<NodeId> proposer_hint() const { return std::nullopt; }
 
+  /// The local delivery frontier: every slot below `next` has been
+  /// delivered here (or skipped by a rejoin snapshot). The TOB reports it
+  /// after each delivered slot and on resume, so a module may forget slots
+  /// every peer has delivered. The default keeps everything (TwoThird is
+  /// sim-only and retains its whole history).
+  virtual void set_delivered(Slot /*next*/) {}
+
   /// Called (at most once per slot per node) when a slot's value is learned.
   void set_on_decide(DecideFn fn) { on_decide_ = std::move(fn); }
 

@@ -24,6 +24,7 @@ PaxosModule::PaxosModule(NodeId self, PaxosConfig config, SafetyRecorder* safety
   SHADOW_REQUIRE(std::find(config_.peers.begin(), config_.peers.end(), self_) !=
                  config_.peers.end());
   leader_.ballot = Ballot{0, self_};
+  peer_delivered_.assign(config_.peers.size(), 0);
 }
 
 void PaxosModule::propose(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) {
@@ -41,12 +42,18 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
     config_.profile.charge(ctx, body.batch.size());
     if (auto learned_it = learned_.find(body.slot); learned_it != learned_.end()) {
       // Already decided: help the proposer catch up.
-      ctx.send(msg.from, net::make_msg(kDecision, DecisionBody{body.slot, learned_it->second}));
+      ctx.send(msg.from, net::make_msg(kDecision, DecisionBody{body.slot, learned_it->second,
+                                                                stable_}));
       return true;
     }
-    const bool had_pending = std::any_of(
-        leader_.proposals.begin(), leader_.proposals.end(),
-        [this](const auto& kv) { return learned_.count(kv.first) == 0; });
+    // Below our frontier but not learned here (pruned, or skipped by a rejoin
+    // snapshot): some value was chosen that we may no longer know, so we
+    // must not start a commander for another. A peer that still holds the
+    // decision answers the proposer.
+    if (body.slot < delivered_) return true;
+    const bool had_pending =
+        std::any_of(leader_.proposals.begin(), leader_.proposals.end(),
+                    [this](const auto& kv) { return !settled(kv.first); });
     auto [it, inserted] = leader_.proposals.try_emplace(body.slot, body.batch);
     if (inserted && !had_pending) pending_since_ = ctx.now();
     if (inserted && leader_.active) start_commander(ctx, body.slot, it->second);
@@ -70,6 +77,9 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
   if (msg.header == kP2a) {
     const auto& body = net::msg_body<P2aBody>(msg);
     config_.profile.charge(ctx, body.pvalue.batch.size());
+    // A stale 2a for a forgotten slot: accepting it would re-grow the pruned
+    // state, and a p2b without an accept would be a false vote. Drop it.
+    if (body.pvalue.slot < floor_) return true;
     if (!(body.pvalue.ballot < acceptor_.promised)) {
       if (acceptor_.promised < body.pvalue.ballot) {
         acceptor_.promised = body.pvalue.ballot;
@@ -82,8 +92,8 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
                            body.pvalue.batch.commands());
       }
     }
-    ctx.send(msg.from,
-             net::make_msg(kP2b, P2bBody{body.pvalue.ballot, acceptor_.promised, body.pvalue.slot}));
+    ctx.send(msg.from, net::make_msg(kP2b, P2bBody{body.pvalue.ballot, acceptor_.promised,
+                                                   body.pvalue.slot, delivered_}));
     return true;
   }
 
@@ -106,7 +116,7 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
       // Adopted: earlier accepted values override our own proposals.
       leader_.ballot = scout.ballot;
       for (const auto& [slot, pv] : scout.pvalues) {
-        if (learned_.count(slot) > 0) continue;
+        if (settled(slot)) continue;
         leader_.proposals[slot] = pv.batch;
       }
       leader_.active = true;
@@ -116,7 +126,7 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
       }
       leader_.scout.reset();
       for (const auto& [slot, batch] : leader_.proposals) {
-        if (learned_.count(slot) == 0) start_commander(ctx, slot, batch);
+        if (!settled(slot)) start_commander(ctx, slot, batch);
       }
     }
     return true;
@@ -126,6 +136,12 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
   if (msg.header == kP2b) {
     const auto& body = net::msg_body<P2bBody>(msg);
     config_.profile.charge_control(ctx);
+    // Every p2b (late ones too) reports the acceptor's frontier.
+    const auto peer = std::find(config_.peers.begin(), config_.peers.end(), msg.from);
+    if (peer != config_.peers.end()) {
+      Slot& known = peer_delivered_[static_cast<std::size_t>(peer - config_.peers.begin())];
+      known = std::max(known, body.delivered);
+    }
     auto it = leader_.commanders.find(body.slot);
     if (it == leader_.commanders.end() || !(it->second.ballot == body.commander_ballot)) {
       return true;
@@ -137,7 +153,8 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
     Commander& cmd = it->second;
     if (cmd.waitfor.erase(msg.from.value) == 0) return true;
     if (config_.peers.size() - cmd.waitfor.size() >= quorum()) {
-      const net::Message dec = net::make_msg(kDecision, DecisionBody{cmd.slot, cmd.batch});
+      const net::Message dec =
+          net::make_msg(kDecision, DecisionBody{cmd.slot, cmd.batch, stable_frontier()});
       for (NodeId peer : config_.peers) {
         ctx.send(peer, dec);
       }
@@ -150,6 +167,10 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
   if (msg.header == kDecision) {
     const auto& body = net::msg_body<DecisionBody>(msg);
     config_.profile.charge(ctx, body.batch.size());
+    if (stable_ < body.stable) {
+      stable_ = body.stable;
+      prune();
+    }
     learn(ctx, body.slot, body.batch);
     return true;
   }
@@ -200,6 +221,7 @@ void PaxosModule::preempted(net::NodeContext& ctx, const Ballot& by) {
 }
 
 void PaxosModule::learn(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) {
+  if (slot < floor_) return;  // forgotten: delivered everywhere already
   auto [it, inserted] = learned_.try_emplace(slot, batch);
   if (!inserted) return;
   last_progress_ = ctx.now();
@@ -209,10 +231,37 @@ void PaxosModule::learn(net::NodeContext& ctx, Slot slot, const EncodedBatch& ba
   notify_decide(ctx, slot, batch);
 }
 
+void PaxosModule::set_delivered(Slot next) {
+  if (next <= delivered_) return;
+  delivered_ = next;
+  // Our own proposals below the frontier are settled whether or not we
+  // learned them (a rejoin snapshot skips slots): never re-propose them.
+  leader_.proposals.erase(leader_.proposals.begin(), leader_.proposals.lower_bound(delivered_));
+  leader_.commanders.erase(leader_.commanders.begin(),
+                           leader_.commanders.lower_bound(delivered_));
+  prune();
+}
+
+Slot PaxosModule::stable_frontier() const {
+  Slot stable = delivered_;  // the leader counts itself at its own frontier
+  for (std::size_t i = 0; i < config_.peers.size(); ++i) {
+    if (config_.peers[i] != self_) stable = std::min(stable, peer_delivered_[i]);
+  }
+  return stable;
+}
+
+void PaxosModule::prune() {
+  const Slot floor = std::min(stable_, delivered_);
+  if (floor <= floor_) return;
+  floor_ = floor;
+  learned_.erase(learned_.begin(), learned_.lower_bound(floor_));
+  acceptor_.accepted.erase(acceptor_.accepted.begin(), acceptor_.accepted.lower_bound(floor_));
+}
+
 void PaxosModule::on_tick(net::NodeContext& ctx) {
-  const bool pending = std::any_of(
-      leader_.proposals.begin(), leader_.proposals.end(),
-      [this](const auto& kv) { return learned_.count(kv.first) == 0; });
+  const bool pending =
+      std::any_of(leader_.proposals.begin(), leader_.proposals.end(),
+                  [this](const auto& kv) { return !settled(kv.first); });
   if (!pending) return;
   // Lost-message recovery: the network may drop frames (link faults, a peer
   // dying mid-send), so an in-flight scout or commander that has gone silent

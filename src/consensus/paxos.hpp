@@ -14,6 +14,32 @@
 // whose violation was the Google Paxos disk-corruption bug discussed in
 // Sec. II-D), accept-above-promise, agreement, validity and chosen-value
 // stability are all machine-checked per execution.
+//
+// Bounded state: the stable prefix. Each node's TOB reports its delivery
+// frontier (set_delivered). Every p2b carries the acceptor's frontier; the
+// leader keeps the maximum it has heard per peer (its own frontier for
+// itself, 0 for a peer it never heard from) and stamps the minimum over all
+// peers on every decision as `stable`. Each node keeps the largest `stable`
+// it has seen and forgets learned values and accepted pvalues below
+// floor = min(stable, own frontier). Why that is safe:
+//   * a slot below `stable` has been delivered by every peer, so every
+//     possible future leader has learned it (or skipped it by a rejoin
+//     snapshot). A node never proposes a slot below its own frontier — such
+//     a slot counts as learned at every learned-check — so no future leader
+//     proposes it, and no scout needs its pvalues: every pvalue a scout can
+//     still need is at or above every acceptor's floor, and a p1b carries
+//     exactly those;
+//   * a px-propose or a stale px-p2a below the floor is dropped without a
+//     vote (never a p2b for a pvalue that was not accepted), and a late
+//     decision below the floor is ignored, so nothing below it comes back;
+//   * a dead or partitioned peer holds `stable` back: memory grows during
+//     the outage, as if nothing were pruned, and is released once the peer
+//     catches up (it can, because nothing it still needs was forgotten);
+//   * a restarted (amnesiac) incarnation reports a low frontier, which never
+//     lowers `stable`: the leader keeps the per-peer maximum, and the
+//     restarted node resumes from a snapshot at or past that maximum.
+// The agreement and accept-at-or-above-promise invariants are unchanged:
+// pruning only drops messages, and dropping messages is always safe.
 #pragma once
 
 #include <map>
@@ -53,10 +79,12 @@ struct P2bBody {
   Ballot commander_ballot;  // the ballot this p2b answers
   Ballot promised;
   Slot slot = 0;
+  Slot delivered = 0;       // the acceptor's delivery frontier
 };
 struct DecisionBody {
   Slot slot = 0;
   EncodedBatch batch;
+  Slot stable = 0;          // every peer has delivered every slot below this
 };
 struct ProposeBody {
   Slot slot = 0;
@@ -93,9 +121,16 @@ class PaxosModule final : public ConsensusModule {
     return acceptor_.promised.leader;
   }
 
+  void set_delivered(Slot next) override;
+
   /// True while this node believes it owns the active ballot.
   bool is_active_leader() const { return leader_.active; }
   const Ballot& current_ballot() const { return leader_.ballot; }
+
+  /// Slots still held in memory: learned values plus accepted pvalues.
+  std::size_t retained_slots() const { return learned_.size() + acceptor_.accepted.size(); }
+  /// Everything below this slot has been forgotten.
+  Slot floor() const { return floor_; }
 
  private:
   // -- acceptor role ----------------------------------------------------------
@@ -132,6 +167,13 @@ class PaxosModule final : public ConsensusModule {
   void start_commander(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch);
   void preempted(net::NodeContext& ctx, const Ballot& by);
   void learn(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch);
+  /// Learned here, or below the local delivery frontier (delivered, pruned,
+  /// or covered by a rejoin snapshot): never to be proposed again.
+  bool settled(Slot slot) const { return slot < delivered_ || learned_.count(slot) > 0; }
+  /// The minimum delivery frontier over all peers, as far as this leader knows.
+  Slot stable_frontier() const;
+  /// Forgets everything below min(stable_, delivered_).
+  void prune();
   std::size_t quorum() const { return config_.peers.size() / 2 + 1; }
 
   NodeId self_;
@@ -140,6 +182,10 @@ class PaxosModule final : public ConsensusModule {
   Acceptor acceptor_;
   Leader leader_;
   std::map<Slot, EncodedBatch> learned_;
+  Slot delivered_ = 0;                 // own delivery frontier (set_delivered)
+  Slot stable_ = 0;                    // largest `stable` seen on a decision
+  Slot floor_ = 0;                     // everything below is forgotten
+  std::vector<Slot> peer_delivered_;   // leader: max frontier heard, per peer index
   std::uint64_t max_round_seen_ = 0;
   net::Time last_progress_ = 0;
   net::Time pending_since_ = 0;  // when the oldest currently-pending work arrived
@@ -192,12 +238,14 @@ struct Codec<consensus::P2bBody> {
     Codec<consensus::Ballot>::encode(w, v.commander_ballot);
     Codec<consensus::Ballot>::encode(w, v.promised);
     w.u64(v.slot);
+    w.u64(v.delivered);
   }
   static consensus::P2bBody decode(BytesReader& r) {
     consensus::P2bBody v;
     v.commander_ballot = Codec<consensus::Ballot>::decode(r);
     v.promised = Codec<consensus::Ballot>::decode(r);
     v.slot = r.u64();
+    v.delivered = r.u64();
     return v;
   }
 };
@@ -207,11 +255,13 @@ struct Codec<consensus::DecisionBody> {
   static void encode(BytesWriter& w, const consensus::DecisionBody& v) {
     w.u64(v.slot);
     Codec<consensus::EncodedBatch>::encode(w, v.batch);
+    w.u64(v.stable);
   }
   static consensus::DecisionBody decode(BytesReader& r) {
     consensus::DecisionBody v;
     v.slot = r.u64();
     v.batch = Codec<consensus::EncodedBatch>::decode(r);
+    v.stable = r.u64();
     return v;
   }
 };

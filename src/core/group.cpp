@@ -1,5 +1,7 @@
 #include "core/group.hpp"
 
+#include <algorithm>
+
 #include "core/codecs.hpp"
 #include "obs/trace.hpp"
 
@@ -50,6 +52,13 @@ std::shared_ptr<db::Engine> make_loaded_engine(const ClusterOptions& options,
   return engine;
 }
 
+std::shared_ptr<consensus::SafetyRecorder> make_group_safety(const net::Transport& world,
+                                                             const std::vector<NodeId>& tob_nodes) {
+  const bool all_local = std::all_of(tob_nodes.begin(), tob_nodes.end(),
+                                     [&world](NodeId n) { return world.is_local(n); });
+  return all_local ? std::make_shared<consensus::SafetyRecorder>() : nullptr;
+}
+
 }  // namespace detail
 
 ReplicationGroup make_replication_group(net::Transport& world, const ClusterOptions& options,
@@ -61,9 +70,9 @@ ReplicationGroup make_replication_group(net::Transport& world, const ClusterOpti
   ReplicationGroup rg;
   rg.id = group.id;
   rg.machines = group.machines;
-  rg.safety = std::make_shared<consensus::SafetyRecorder>();
   const tob::TobConfig tob_config =
       detail::make_group_tob_config(world, options, group, rg.machines, rg.tob_nodes);
+  rg.safety = detail::make_group_safety(world, rg.tob_nodes);
   rg.tob = tob::make_service(world, tob_config, rg.safety.get());
 
   const std::size_t total = options.db_replicas + options.db_spares;

@@ -92,7 +92,7 @@ struct ReplicationGroup {
   std::vector<std::unique_ptr<SmrReplica>> replicas;
   std::vector<NodeId> tob_nodes;
   std::vector<NodeId> replica_nodes;
-  std::shared_ptr<consensus::SafetyRecorder> safety;
+  std::shared_ptr<consensus::SafetyRecorder> safety;  // null unless every TOB node is local
 
   /// Submission targets for kTob clients.
   const std::vector<NodeId>& broadcast_targets() const { return tob_nodes; }
@@ -125,6 +125,14 @@ tob::TobConfig make_group_tob_config(net::Transport& world, const ClusterOptions
                                      std::vector<NodeId>& tob_nodes);
 
 std::shared_ptr<db::Engine> make_loaded_engine(const ClusterOptions& options, std::size_t index);
+
+/// The group's consensus safety recorder, or null. Agreement can only be
+/// checked by a process that sees every acceptor, so the recorder exists
+/// only when every TOB node of the group is local to the transport (the
+/// simulator, single-process tests). A TCP process sees its own node only;
+/// agreement there is checked offline from merged traces.
+std::shared_ptr<consensus::SafetyRecorder> make_group_safety(const net::Transport& world,
+                                                             const std::vector<NodeId>& tob_nodes);
 
 }  // namespace detail
 

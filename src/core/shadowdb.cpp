@@ -17,9 +17,9 @@ PbrCluster make_pbr_cluster(net::Transport& world, const ClusterOptions& options
   register_wire_codecs();
   SHADOW_REQUIRE(options.db_replicas + options.db_spares <= options.machines);
   PbrCluster cluster;
-  cluster.safety = std::make_shared<consensus::SafetyRecorder>();
   const tob::TobConfig tob_config = detail::make_group_tob_config(
       world, options, GroupOptions{}, cluster.machines, cluster.tob_nodes);
+  cluster.safety = detail::make_group_safety(world, cluster.tob_nodes);
   cluster.tob = tob::make_service(world, tob_config, cluster.safety.get());
 
   const std::size_t total = options.db_replicas + options.db_spares;
@@ -49,9 +49,9 @@ ChainCluster make_chain_cluster(net::Transport& world, const ClusterOptions& opt
   register_wire_codecs();
   SHADOW_REQUIRE(options.db_replicas + options.db_spares <= options.machines);
   ChainCluster cluster;
-  cluster.safety = std::make_shared<consensus::SafetyRecorder>();
   const tob::TobConfig tob_config = detail::make_group_tob_config(
       world, options, GroupOptions{}, cluster.machines, cluster.tob_nodes);
+  cluster.safety = detail::make_group_safety(world, cluster.tob_nodes);
   cluster.tob = tob::make_service(world, tob_config, cluster.safety.get());
 
   const std::size_t total = options.db_replicas + options.db_spares;

@@ -156,7 +156,7 @@ void SmrReplica::on_deliver(net::NodeContext& ctx, Slot slot, std::uint64_t inde
   }
   const workload::TxnRequest req = workload::decode_request(cmd.payload);
   if (req.proc == kSmrReconfigProc) {
-    handle_reconfig(ctx, req, index);
+    handle_reconfig(ctx, req);
     return;
   }
   if (req.proc == kSmrRejoinProc) {
@@ -230,8 +230,7 @@ void SmrReplica::execute_txn(net::NodeContext& ctx, std::uint64_t index,
   ctx.send(req.reply_to, workload::make_response_msg(exec.response));
 }
 
-void SmrReplica::handle_reconfig(net::NodeContext& ctx, const workload::TxnRequest& req,
-                                 std::uint64_t index) {
+void SmrReplica::handle_reconfig(net::NodeContext& ctx, const workload::TxnRequest& req) {
   SHADOW_CHECK(req.params.size() >= 3);
   const NodeId removed{static_cast<std::uint32_t>(req.params[0].as_int())};
   const NodeId added{static_cast<std::uint32_t>(req.params[1].as_int())};
@@ -250,7 +249,6 @@ void SmrReplica::handle_reconfig(net::NodeContext& ctx, const workload::TxnReque
     // We are the replacement: fetch the snapshot from the proposer and
     // buffer every delivery past this reconfiguration point.
     joining_ = true;
-    join_from_index_ = index + 1;
     join_proposer_ = proposer;
     join_progress_ = true;  // the first heartbeat interval is grace
     buffered_.clear();

@@ -134,7 +134,7 @@ class SmrReplica {
                         const consensus::EncodedBatch& batch);
   void on_message(net::NodeContext& ctx, const net::Message& msg);
   void on_heartbeat_tick(net::NodeContext& ctx);
-  void handle_reconfig(net::NodeContext& ctx, const workload::TxnRequest& req, std::uint64_t index);
+  void handle_reconfig(net::NodeContext& ctx, const workload::TxnRequest& req);
   void handle_rejoin(net::NodeContext& ctx, const workload::TxnRequest& req, Slot slot,
                      std::uint64_t index);
   void send_rejoin_request(net::NodeContext& ctx);
@@ -173,11 +173,9 @@ class SmrReplica {
 
   // Joining state (replacement replica).
   bool joining_ = false;
-  std::uint64_t join_from_index_ = 0;
   NodeId join_proposer_{};     // spare promotion: who serves our stream
   bool join_progress_ = false;  // a stream frame arrived this heartbeat interval
   std::deque<std::pair<std::uint64_t, workload::TxnRequest>> buffered_;  // (index, request)
-  std::uint64_t buffered_from_ = 0;
 
   // Crash-restart rejoin state (see start_rejoin). `seen_control_keys_` is
   // maintained by every replica: the exact (client, seq) keys of delivered

@@ -1,6 +1,7 @@
 #include "tob/tob.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.hpp"
 #include "obs/trace.hpp"
@@ -82,7 +83,7 @@ void TobNode::on_message(net::NodeContext& ctx, const net::Message& msg) {
 
 void TobNode::on_broadcast(net::NodeContext& ctx, const Command& cmd, NodeId from) {
   const auto key = std::make_pair(cmd.client.value, cmd.seq);
-  if (delivered_keys_.count(key) > 0 || floored(key)) {
+  if (already_delivered(key)) {
     // Duplicate of an already-delivered command (client retry), or one the
     // snapshot we rejoined from already covers: re-ack so the broadcast is
     // at-most-once from the subscriber's point of view.
@@ -111,7 +112,7 @@ void TobNode::on_relay(net::NodeContext& ctx, const RelayBody& body) {
   bool all_fresh = !cmds.empty();
   for (const Command& cmd : cmds) {
     const auto key = std::make_pair(cmd.client.value, cmd.seq);
-    const bool dup = delivered_keys_.count(key) > 0 || floored(key) ||
+    const bool dup = already_delivered(key) ||
                      std::any_of(pending_.begin(), pending_.end(), [&key](const PendingCommand& p) {
                        return std::make_pair(p.command.client.value, p.command.seq) == key;
                      });
@@ -269,7 +270,9 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
 
 void TobNode::on_decide(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) {
   if (config_.tracer) config_.tracer->tob_decide(ctx.now(), self_, slot, batch.size());
-  decisions_[slot] = batch;  // shares the decided bytes, no copy
+  // Shares the decided bytes, no copy. A slot below the frontier was already
+  // delivered (or skipped by a rejoin) and would never be erased.
+  if (slot >= next_deliver_slot_) decisions_[slot] = batch;
   if (auto it = outstanding_.find(slot); it != outstanding_.end()) {
     // Whatever of ours was not chosen becomes eligible for a later slot.
     for (const Command& cmd : it->second.commands()) {
@@ -289,35 +292,38 @@ void TobNode::deliver_ready(net::NodeContext& ctx) {
   while (true) {
     auto it = decisions_.find(next_deliver_slot_);
     if (it == decisions_.end()) return;
-    const EncodedBatch& encoded = it->second;
+    const Slot slot = it->first;
+    const EncodedBatch encoded = std::move(it->second);  // forgotten once delivered
+    decisions_.erase(it);
     const Batch& batch = encoded.commands();
     config_.profile.charge(ctx, batch.size());
-    const std::uint64_t base_index = index_base_ + delivery_log_.size();
+    const std::uint64_t base_index = index_base_ + delivered_count_;
     Batch fresh;  // the commands actually delivered from this slot
 
     for (const Command& cmd : batch) {
       const auto key = std::make_pair(cmd.client.value, cmd.seq);
-      if (floored(key) || !delivered_keys_.insert(key).second) {
+      DedupWindow& window = dedup_[key.first];
+      if (window.contains(key.second)) {
         // no-duplication: already delivered here, or covered by the
         // snapshot this node rejoined from. Still ack + retire the pending
         // entry (a retry may have entered through us post-restart).
-        ack_and_retire_pending(ctx, key, it->first);
+        ack_and_retire_pending(ctx, key, slot);
         continue;
       }
-      const std::uint64_t index = index_base_ + delivery_log_.size();
-      delivery_log_.push_back(cmd);
+      window.add(key.second, key.second + 1);
+      const std::uint64_t index = index_base_ + delivered_count_++;
       fresh.push_back(cmd);
       if (config_.tracer) {
-        config_.tracer->tob_deliver(ctx.now(), self_, it->first, index, cmd.client, cmd.seq);
+        config_.tracer->tob_deliver(ctx.now(), self_, slot, index, cmd.client, cmd.seq);
       }
 
-      if (local_subscriber_) local_subscriber_(ctx, it->first, index, cmd);
+      if (local_subscriber_) local_subscriber_(ctx, slot, index, cmd);
       // (A whole-slot batch_subscriber_ is notified once, below.)
       // Ack the broadcaster if the command entered the system through us —
       // unless we relayed it to the leader, whose own pending entry acks
       // (exactly one ack in the normal case; duplicates can only arise in
       // failover windows, and clients deduplicate by sequence number).
-      ack_and_retire_pending(ctx, key, it->first);
+      ack_and_retire_pending(ctx, key, slot);
     }
     // Whole-slot subscribers (local batch subscriber and remote tob-deliver)
     // get the decided sub-frame as-is — the same bytes consensus agreed on,
@@ -326,16 +332,49 @@ void TobNode::deliver_ready(net::NodeContext& ctx) {
     if (!fresh.empty() && (batch_subscriber_ || !remote_subscribers_.empty())) {
       const EncodedBatch out = fresh.size() == batch.size() ? encoded
                                                             : EncodedBatch{std::move(fresh)};
-      if (batch_subscriber_) batch_subscriber_(ctx, it->first, base_index, out);
+      if (batch_subscriber_) batch_subscriber_(ctx, slot, base_index, out);
       if (!remote_subscribers_.empty()) {
-        const DeliverBody body{it->first, base_index, out};
+        const DeliverBody body{slot, base_index, out};
         for (NodeId sub : remote_subscribers_) {
           ctx.send(sub, net::make_msg(kDeliverHeader, body));
         }
       }
     }
     ++next_deliver_slot_;
+    module_->set_delivered(next_deliver_slot_);
   }
+}
+
+bool TobNode::DedupWindow::contains(RequestSeq seq) const {
+  auto it = runs.upper_bound(seq);
+  return it != runs.begin() && seq < std::prev(it)->second;
+}
+
+void TobNode::DedupWindow::add(RequestSeq first, RequestSeq end) {
+  auto next = runs.upper_bound(first);  // the first run starting after `first`
+  auto it = next;
+  if (next != runs.begin() && std::prev(next)->second >= first) {
+    it = std::prev(next);  // the run reaching `first` grows (the in-order case)
+    it->second = std::max(it->second, end);
+  } else {
+    it = runs.emplace_hint(next, first, end);
+  }
+  // Swallow every run the grown one now reaches: a gap closed.
+  while (next != runs.end() && next->first <= it->second) {
+    it->second = std::max(it->second, next->second);
+    next = runs.erase(next);
+  }
+}
+
+bool TobNode::already_delivered(const std::pair<std::uint32_t, RequestSeq>& key) const {
+  auto it = dedup_.find(key.first);
+  return it != dedup_.end() && it->second.contains(key.second);
+}
+
+std::size_t TobNode::dedup_runs() const {
+  std::size_t runs = 0;
+  for (const auto& [client, window] : dedup_) runs += window.runs.size();
+  return runs;
 }
 
 void TobNode::ack_and_retire_pending(net::NodeContext& ctx,
@@ -362,22 +401,21 @@ void TobNode::resume_from(const ResumePoint& rp) {
   // crash-restart where the node object survived with its history intact —
   // the retained engine state is what makes the rejoin a delta. Either way
   // the snapshot supersedes everything delivered so far: rebase the index
-  // space at the resume point and drop the superseded log. (The donor serves
-  // the resume point at its own delivery frontier, which is at or ahead of
-  // any paused node's, so rp.slot/rp.index_base never move us backwards.)
-  delivery_log_.clear();
+  // space at the resume point and restart the delivered count. (The donor
+  // serves the resume point at its own delivery frontier, which is at or
+  // ahead of any paused node's, so rp.slot/rp.index_base never move us
+  // backwards.)
+  delivered_count_ = 0;
   next_deliver_slot_ = std::max(next_deliver_slot_, rp.slot);
   next_propose_slot_ = std::max(next_propose_slot_, rp.slot);
   index_base_ = rp.index_base;
-  for (const auto& [client, seq] : rp.floor) {
-    RequestSeq& floor = delivered_floor_[client];
-    floor = std::max(floor, seq);
-  }
+  for (const auto& [client, seq] : rp.floor) dedup_[client].add(0, seq + 1);
   // Control commands (reconfig/rejoin) use a fresh client id per incarnation,
   // so a per-client floor cannot cover them: dedup them by exact key.
-  for (const auto& key : rp.control_keys) delivered_keys_.insert(key);
+  for (const auto& [client, seq] : rp.control_keys) dedup_[client].add(seq, seq + 1);
   // Decided slots below the resume point are covered by the snapshot.
   decisions_.erase(decisions_.begin(), decisions_.lower_bound(next_deliver_slot_));
+  module_->set_delivered(next_deliver_slot_);
   paused_ = false;
   // Kick delivery/proposing from a proper node context (we are called from
   // the co-located replica's handler, under its identity, not ours).

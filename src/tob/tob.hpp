@@ -10,15 +10,28 @@
 //   * clients (or replicas) send `tob-broadcast{Command}` to any service node;
 //   * the receiving node buffers the command and proposes a batch of pending
 //     commands for the next free slot once the batching window closes;
-//   * on a slot decision, commands are delivered in slot order: appended to
-//     the local delivery log, pushed to local/remote subscribers, and the
-//     origin node sends a `tob-ack` to the command's original sender;
+//   * on a slot decision, commands are delivered in slot order: pushed to
+//     local/remote subscribers, and the origin node sends a `tob-ack` to the
+//     command's original sender; the slot's decision is then forgotten and
+//     the new delivery frontier is reported to the consensus module, which
+//     forgets what every peer has delivered (consensus/paxos.hpp);
 //   * commands whose proposal lost a slot race stay pending and are proposed
 //     again for a later slot (no loss); delivered commands are deduplicated
 //     (no duplication).
 //
+// Deduplication keeps one window per client: the runs of that client's
+// delivered sequence numbers (or those a rejoin snapshot covers). A client
+// numbers its requests consecutively, so its window is one run whose end
+// advances with each delivery; an out-of-order delivery or a sparse control
+// seq (a rejoin request is numbered by wall-clock µs) adds a run, and runs
+// merge as the gaps between them close. A command is a duplicate if and
+// only if its seq lies in its client's window. Nothing else is kept per
+// delivered command, so the node's memory follows what is in flight, not
+// the length of its history.
+//
 // Total order, no-creation, no-duplication and agreement on the log prefix
-// are machine-checked by tests via delivery_log() + loe::check_prefix_consistency.
+// are machine-checked by tests that record deliveries through
+// subscribe_local() and run loe::check_prefix_consistency.
 #pragma once
 
 #include <deque>
@@ -26,7 +39,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "consensus/module.hpp"
@@ -148,8 +161,12 @@ class TobNode {
   /// Remote subscriber: receives tob-deliver messages for every delivery.
   void add_remote_subscriber(NodeId node) { remote_subscribers_.push_back(node); }
 
-  const std::vector<Command>& delivery_log() const { return delivery_log_; }
-  std::uint64_t delivered_count() const { return delivery_log_.size(); }
+  /// Commands delivered since the last rejoin (since construction if none).
+  std::uint64_t delivered_count() const { return delivered_count_; }
+  /// Retained-state gauges: decided slots not yet delivered, and the runs
+  /// held by all clients' dedup windows.
+  std::size_t retained_decisions() const { return decisions_.size(); }
+  std::size_t dedup_runs() const;
   NodeId node() const { return self_; }
   consensus::ConsensusModule& module() { return *module_; }
 
@@ -167,7 +184,8 @@ class TobNode {
   /// per-client delivered-sequence floor (every (client, seq<=floor[client])
   /// is already covered by the snapshot), and the exact keys of delivered
   /// control commands (reconfig/rejoin), which use fresh client ids per
-  /// incarnation and therefore cannot be floored.
+  /// incarnation and therefore cannot be floored. Both feed the dedup
+  /// windows.
   struct ResumePoint {
     Slot slot = 0;
     std::uint64_t index_base = 0;
@@ -193,11 +211,16 @@ class TobNode {
   void deliver_ready(net::NodeContext& ctx);
   void arm_tick(net::NodeContext& ctx);
 
-  /// Whether the snapshot we rejoined from already covers this command.
-  bool floored(const std::pair<std::uint32_t, RequestSeq>& key) const {
-    auto it = delivered_floor_.find(key.first);
-    return it != delivered_floor_.end() && key.second <= it->second;
-  }
+  /// One client's delivered seqs as disjoint, non-touching runs
+  /// [first, end), keyed by first.
+  struct DedupWindow {
+    std::map<RequestSeq, RequestSeq> runs;
+    bool contains(RequestSeq seq) const;
+    /// Adds [first, end), merging every run it touches.
+    void add(RequestSeq first, RequestSeq end);
+  };
+  /// Delivered here, or covered by the snapshot we rejoined from.
+  bool already_delivered(const std::pair<std::uint32_t, RequestSeq>& key) const;
   /// Ack (unless relayed away) and drop the pending entry for a command that
   /// turned out to be already delivered elsewhere.
   void ack_and_retire_pending(net::NodeContext& ctx,
@@ -233,12 +256,11 @@ class TobNode {
   Slot next_propose_slot_ = 0;
   net::Time oldest_pending_since_ = 0;
 
-  std::set<std::pair<std::uint32_t, RequestSeq>> delivered_keys_;  // dedup guard
-  std::vector<Command> delivery_log_;
+  std::unordered_map<std::uint32_t, DedupWindow> dedup_;  // per client
+  std::uint64_t delivered_count_ = 0;  // since index_base_
   // -- rejoin state (see pause_for_rejoin/resume_from) -----------------------
   bool paused_ = false;            // delivery + proposing suspended
-  std::uint64_t index_base_ = 0;   // global index of delivery_log_[0]
-  std::map<std::uint32_t, RequestSeq> delivered_floor_;  // snapshot dedup floor
+  std::uint64_t index_base_ = 0;   // global index of the first command delivered since rejoin
   LocalDeliverFn local_subscriber_;
   LocalDeliverBatchFn batch_subscriber_;
   std::function<std::size_t()> backlog_probe_;

@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "common/delivery_logs.hpp"
 #include "sim/world.hpp"
 #include "consensus/paxos.hpp"
 #include "consensus/two_third.hpp"
@@ -41,6 +42,8 @@ TEST_P(ConsensusScheduleTest, SafetyHoldsUnderRandomSchedules) {
     config.nodes.push_back(world.add_node("tob" + std::to_string(i)));
   }
   tob::TobService service = tob::make_service(world, config, &safety);
+  std::vector<std::vector<Command>> delivered;
+  shadow::testing::record_deliveries(service, delivered);
 
   const NodeId client = world.add_node("client");
   std::size_t acks = 0;
@@ -97,8 +100,8 @@ TEST_P(ConsensusScheduleTest, SafetyHoldsUnderRandomSchedules) {
 
   // Total order across the surviving nodes' delivery logs.
   std::vector<std::vector<Command>> logs;
-  for (const auto& node : service.nodes) {
-    if (!world.crashed(node->node())) logs.push_back(node->delivery_log());
+  for (std::size_t i = 0; i < service.size(); ++i) {
+    if (!world.crashed(service[i].node())) logs.push_back(delivered[i]);
   }
   EXPECT_TRUE(loe::check_prefix_consistency(logs).ok);
   for (const auto& log : logs) EXPECT_TRUE(loe::check_no_duplicates(log).ok);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/batch_copies.hpp"
+#include "common/delivery_logs.hpp"
 #include "consensus/paxos.hpp"
 #include "loe/properties.hpp"
 #include "sim/world.hpp"
@@ -17,6 +18,7 @@ struct RelayFixture {
   consensus::SafetyRecorder safety;
   TobConfig config;
   TobService service;
+  std::vector<std::vector<Command>> logs;  // per node, via subscribe_local
   NodeId client;
   std::vector<AckBody> acks;
 
@@ -25,6 +27,7 @@ struct RelayFixture {
     for (int i = 0; i < 3; ++i) config.nodes.push_back(world.add_node("tob" + std::to_string(i)));
     config.relay_timeout = 300000;  // quick fallback for the crash test
     service = make_service(world, config, &safety);
+    shadow::testing::record_deliveries(service, logs);
     client = world.add_node("client");
     world.set_handler(client, [this](net::NodeContext&, const sim::Message& msg) {
       if (msg.header == kAckHeader) acks.push_back(sim::msg_body<AckBody>(msg));
@@ -62,10 +65,8 @@ TEST(TobRelay, NonLeaderFrontendsRelayToTheLeader) {
   EXPECT_GT(counter.relays, 0);
 
   // All delivery logs identical.
-  std::vector<std::vector<Command>> logs;
-  for (const auto& node : fx.service.nodes) logs.push_back(node->delivery_log());
-  EXPECT_TRUE(loe::check_prefix_consistency(logs).ok);
-  for (const auto& log : logs) EXPECT_EQ(log.size(), 11u);
+  EXPECT_TRUE(loe::check_prefix_consistency(fx.logs).ok);
+  for (const auto& log : fx.logs) EXPECT_EQ(log.size(), 11u);
 }
 
 TEST(TobRelay, RelayToDeadLeaderFallsBackToLocalProposal) {
@@ -184,10 +185,9 @@ TEST(TobRelay, ReproposalAfterLeaderChangeReusesTheOriginalBytes) {
   fx.world.run_until(60000000);
 
   EXPECT_EQ(fx.acks.size(), 1u);  // only cmd 2 entered through a frontend
-  ASSERT_EQ(fx.service.nodes[1]->delivery_log().size(), 2u);
-  EXPECT_EQ(fx.service.nodes[1]->delivery_log()[0], cmd1)
-      << "the re-proposed slot must deliver first";
-  EXPECT_EQ(fx.service.nodes[2]->delivery_log(), fx.service.nodes[1]->delivery_log());
+  ASSERT_EQ(fx.logs[1].size(), 2u);
+  EXPECT_EQ(fx.logs[1][0], cmd1) << "the re-proposed slot must deliver first";
+  EXPECT_EQ(fx.logs[2], fx.logs[1]);
   EXPECT_TRUE(fx.safety.check_agreement().ok);
   EXPECT_GT(capture.slot0_reproposals, 0)
       << "no survivor re-proposed slot 0 with the original bytes";
@@ -216,7 +216,7 @@ TEST(TobRelay, ClientRetryDuringFailoverIsDeduplicated) {
   fx.broadcast(2, 2);
   fx.world.run_until(60000000);
   std::size_t delivered_twos = 0;
-  for (const Command& cmd : fx.service.nodes[1]->delivery_log()) {
+  for (const Command& cmd : fx.logs[1]) {
     if (cmd.seq == 2) ++delivered_twos;
   }
   EXPECT_EQ(delivered_twos, 1u) << "no-duplication across frontends";

@@ -2,6 +2,7 @@
 // consensus modules: delivery, total order, acks, safety properties.
 #include <gtest/gtest.h>
 
+#include "common/delivery_logs.hpp"
 #include "loe/properties.hpp"
 #include "sim/world.hpp"
 #include "tob/tob.hpp"
@@ -15,6 +16,7 @@ struct Fixture {
   std::vector<NodeId> service_nodes;
   NodeId client_node;
   TobService service;
+  std::vector<std::vector<Command>> delivered;  // per node, via subscribe_local
   std::vector<AckBody> acks;
 
   explicit Fixture(Protocol protocol, std::size_t n, std::uint64_t seed = 1) : world(seed) {
@@ -29,6 +31,7 @@ struct Fixture {
       if (msg.header == kAckHeader) acks.push_back(sim::msg_body<AckBody>(msg));
     });
     service = make_service(world, config, &safety);
+    shadow::testing::record_deliveries(service, delivered);
   }
 
   void broadcast(std::size_t target, ClientId client, RequestSeq seq,
@@ -38,11 +41,7 @@ struct Fixture {
                sim::make_msg(kBroadcastHeader, BroadcastBody{std::move(cmd)}));
   }
 
-  std::vector<std::vector<Command>> logs() const {
-    std::vector<std::vector<Command>> out;
-    for (const auto& node : service.nodes) out.push_back(node->delivery_log());
-    return out;
-  }
+  const std::vector<std::vector<Command>>& logs() const { return delivered; }
 };
 
 TEST(TobPaxos, SingleBroadcastDeliversEverywhereAndAcks) {

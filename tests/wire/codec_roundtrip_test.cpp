@@ -90,10 +90,10 @@ std::vector<sim::Message> sample_messages() {
   samples.push_back(sim::make_msg(
       consensus::kP2aHeader,
       consensus::P2aBody{PValue{ballot, 5, consensus::EncodedBatch{sample_batch(1)}}}));
-  samples.push_back(sim::make_msg(consensus::kP2bHeader, consensus::P2bBody{ballot, ballot, 5}));
+  samples.push_back(sim::make_msg(consensus::kP2bHeader, consensus::P2bBody{ballot, ballot, 5, 4}));
   samples.push_back(sim::make_msg(
       consensus::kDecisionHeader,
-      consensus::DecisionBody{6, consensus::EncodedBatch{sample_batch(3)}}));
+      consensus::DecisionBody{6, consensus::EncodedBatch{sample_batch(3)}, 3}));
   samples.push_back(sim::make_msg(
       consensus::kProposeHeader,
       consensus::ProposeBody{7, consensus::EncodedBatch{sample_batch(2)}}));
