@@ -18,8 +18,9 @@
 #     keeps a single stream format, each message stays one contiguous
 #     buffer (no scatter-gather byte layer), and PBR and chain replication
 #     keep one recovery core (no per-protocol recovery headers), the TOB
-#     keeps no per-command delivery history, and one helper builds the
-#     consensus safety recorder;
+#     keeps no per-command delivery history, one helper builds the
+#     consensus safety recorder, and the engine keeps each row's last-touch
+#     version on its storage entry (no per-key dirty map);
 #   * an ASan+UBSan build of the whole tree with the test suites run under
 #     it (decoded batches are views into received frames shared across
 #     the I/O, consensus and executor threads, so buffer ownership must
@@ -140,6 +141,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   # agreement (a TCP process sees one acceptor).
   if grep -rnw 'delivery_log_\|delivered_keys_\|delivered_floor_' src/tob; then
     echo "FAIL: per-command delivery history is back in src/tob (use the dedup windows)" >&2
+    exit 1
+  fi
+  # Row-resident touch stamps: a present key's last-touch version lives on
+  # its storage entry (db::StoredRow::touched) and an absent key's in the
+  # tombstones, so no per-key dirty map may come back in the engine.
+  if grep -rnw 'dirty_\|TouchMap' src/db; then
+    echo "FAIL: a per-key dirty map is back in src/db (stamp StoredRow::touched)" >&2
     exit 1
   fi
   recorders="$(grep -rnE '(make_shared|make_unique)<(consensus::)?SafetyRecorder>|new (consensus::)?SafetyRecorder\b|\bSafetyRecorder [A-Za-z_]+ *[;{(]' src || true)"

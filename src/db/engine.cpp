@@ -1,6 +1,8 @@
 #include "db/engine.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 namespace shadow::db {
 
@@ -238,14 +240,15 @@ ExecResult Engine::do_insert(Txn& txn, const Statement& stmt, Table& table) {
   SHADOW_REQUIRE_MSG(stmt.row.size() == table.schema.columns.size(),
                      "row arity mismatch for " + stmt.table);
   const Key key = table.schema.key_of(stmt.row);
-  capture_history(stmt.table, key);
-  if (!table.storage->insert(key, stmt.row)) {
+  const auto [stored, inserted] = table.storage->insert(key, Row(stmt.row));
+  capture_history(stmt.table, key, inserted ? nullptr : &stored->row);
+  if (!inserted) {
     result.status = ExecResult::Status::kAborted;
     result.error = "duplicate primary key in " + stmt.table;
     return result;
   }
   txn.undo.push_back(UndoEntry{UndoEntry::Kind::kInsert, stmt.table, key, {}});
-  touch(stmt.table, key);
+  touch_present(stmt.table, key, *stored, /*was_absent=*/true);
   result.affected = 1;
   return result;
 }
@@ -255,33 +258,33 @@ ExecResult Engine::do_point(Txn& txn, const Statement& stmt, Table& table) {
   switch (stmt.kind) {
     case Statement::Kind::kSelect: {
       result.cost_us = traits_.costs.point_read_us;
-      if (const Row* row = table.storage->get(stmt.key)) {
+      if (const StoredRow* stored = table.storage->find(stmt.key)) {
         result.cost_us += static_cast<std::uint64_t>(
-            traits_.costs.byte_us * static_cast<double>(row_wire_size(*row)));
-        result.rows.push_back(project(*row, stmt.select_columns));
+            traits_.costs.byte_us * static_cast<double>(row_wire_size(stored->row)));
+        result.rows.push_back(project(stored->row, stmt.select_columns));
       }
       return result;
     }
     case Statement::Kind::kUpdate: {
       result.cost_us = traits_.costs.point_write_us;
-      if (Row* row = table.storage->get_mutable(stmt.key)) {
+      if (StoredRow* stored = table.storage->find(stmt.key)) {
         result.cost_us += static_cast<std::uint64_t>(
-            traits_.costs.byte_us * static_cast<double>(row_wire_size(*row)));
-        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, stmt.key, *row});
-        capture_history(stmt.table, stmt.key);
-        apply_sets(*row, stmt.sets);
-        touch(stmt.table, stmt.key);
+            traits_.costs.byte_us * static_cast<double>(row_wire_size(stored->row)));
+        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, stmt.key, stored->row});
+        capture_history(stmt.table, stmt.key, &stored->row);
+        apply_sets(stored->row, stmt.sets);
+        touch_present(stmt.table, stmt.key, *stored, /*was_absent=*/false);
         result.affected = 1;
       }
       return result;
     }
     case Statement::Kind::kDelete: {
       result.cost_us = traits_.costs.point_write_us;
-      if (const Row* row = table.storage->get(stmt.key)) {
-        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kDelete, stmt.table, stmt.key, *row});
-        capture_history(stmt.table, stmt.key);
-        table.storage->erase(stmt.key);
-        touch(stmt.table, stmt.key);
+      if (std::optional<Row> row = table.storage->take(stmt.key)) {
+        capture_history(stmt.table, stmt.key, &*row);
+        txn.undo.push_back(
+            UndoEntry{UndoEntry::Kind::kDelete, stmt.table, stmt.key, std::move(*row)});
+        touch_absent(stmt.table, stmt.key);
         result.affected = 1;
       }
       return result;
@@ -327,13 +330,6 @@ ScanPlan plan_scan(const Statement& stmt, const TableSchema& schema) {
   }
   plan.use_index = !plan.prefix.empty() || plan.next_lo.has_value();
   return plan;
-}
-
-bool key_has_prefix(const Key& key, const Key& prefix) {
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    if (!(key[i] == prefix[i])) return false;
-  }
-  return true;
 }
 
 /// Shared kScan row accumulation (aggregates, projection, order_by, limit),
@@ -403,53 +399,52 @@ ExecResult Engine::do_predicate(Txn& txn, const Statement& stmt, Table& table) {
   // Choose between an index range scan (ordered storage) and a full scan.
   const ScanPlan plan = plan_scan(stmt, table.schema);
   const bool indexed = plan.use_index && table.storage->ordered();
-  const auto ranged_scan = [&](const std::function<bool(const Key&, const Row&)>& visit) {
+  const auto ranged_scan = [&](const RowVisitor& visit) {
     if (!indexed) {
       table.storage->scan(visit);
       return;
     }
+    // The range is [prefix ++ lo, prefix ++ hi]: every key there has the
+    // equality-pinned prefix, so no visited key needs re-checking against it.
     Key start = plan.prefix;
     if (plan.next_lo) start.push_back(*plan.next_lo);
-    const std::size_t next_col_pos = plan.prefix.size();
-    table.storage->scan_from(start, [&](const Key& key, const Row& row) {
-      if (!key_has_prefix(key, plan.prefix)) return false;  // left the range
-      if (plan.next_hi && next_col_pos < key.size() && *plan.next_hi < key[next_col_pos]) {
-        return false;
-      }
-      return visit(key, row);
-    });
+    Key last = plan.prefix;
+    if (plan.next_hi) last.push_back(*plan.next_hi);
+    table.storage->scan_range(start, last, visit);
   };
 
   if (stmt.kind == Statement::Kind::kScan) {
     ScanAccumulator accum{stmt, result};
-    ranged_scan([&](const Key&, const Row& row) {
+    ranged_scan([&](const Key&, const StoredRow& stored) {
       ++visited;
-      if (matches(row)) accum.add(row);
+      if (matches(stored.row)) accum.add(stored.row);
       return true;
     });
     accum.finish();
   } else {
     // UpdateWhere / DeleteWhere: collect matching keys first, then mutate.
     std::vector<Key> keys;
-    ranged_scan([&](const Key& key, const Row& row) {
+    ranged_scan([&](const Key& key, const StoredRow& stored) {
       ++visited;
-      if (matches(row)) keys.push_back(key);
+      if (matches(stored.row)) keys.push_back(key);
       return true;
     });
-    for (const Key& key : keys) {
-      capture_history(stmt.table, key);
+    for (Key& key : keys) {
       if (stmt.kind == Statement::Kind::kUpdateWhere) {
-        Row* row = table.storage->get_mutable(key);
-        SHADOW_CHECK(row != nullptr);
-        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, key, *row});
-        apply_sets(*row, stmt.sets);
+        StoredRow* stored = table.storage->find(key);
+        SHADOW_CHECK(stored != nullptr);
+        capture_history(stmt.table, key, &stored->row);
+        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, key, stored->row});
+        apply_sets(stored->row, stmt.sets);
+        touch_present(stmt.table, key, *stored, /*was_absent=*/false);
       } else {
-        const Row* row = table.storage->get(key);
-        SHADOW_CHECK(row != nullptr);
-        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kDelete, stmt.table, key, *row});
-        table.storage->erase(key);
+        std::optional<Row> row = table.storage->take(key);
+        SHADOW_CHECK(row.has_value());
+        capture_history(stmt.table, key, &*row);
+        touch_absent(stmt.table, key);
+        txn.undo.push_back(
+            UndoEntry{UndoEntry::Kind::kDelete, stmt.table, std::move(key), std::move(*row)});
       }
-      touch(stmt.table, key);
       ++result.affected;
     }
   }
@@ -509,28 +504,31 @@ ExecResult Engine::abort(TxnId id) {
 }
 
 void Engine::rollback(Txn& txn) {
+  // The undo application is itself a mutation at the current version: each
+  // step captures (a no-op when the forward mutation already captured here)
+  // and re-stamps the key. The key's value is back to its pre-statement
+  // state, so the stamp may over-approximate the delta, which is always safe.
   for (auto it = txn.undo.rbegin(); it != txn.undo.rend(); ++it) {
     Table& table = table_of(it->table);
-    // The undo application is itself a mutation at the current version; the
-    // capture is a no-op when the forward mutation already captured here.
-    capture_history(it->table, it->key);
     switch (it->kind) {
       case UndoEntry::Kind::kInsert:
-        table.storage->erase(it->key);
+        erase_key(table, it->table, it->key);
         break;
       case UndoEntry::Kind::kUpdate: {
-        Row* row = table.storage->get_mutable(it->key);
-        SHADOW_CHECK(row != nullptr);
-        *row = it->old_row;
+        StoredRow* stored = table.storage->find(it->key);
+        SHADOW_CHECK(stored != nullptr);
+        capture_history(it->table, it->key, &stored->row);
+        stored->row = std::move(it->old_row);
+        touch_present(it->table, it->key, *stored, /*was_absent=*/false);
         break;
       }
-      case UndoEntry::Kind::kDelete:
-        table.storage->insert(it->key, it->old_row);
+      case UndoEntry::Kind::kDelete: {
+        const auto [stored, inserted] = table.storage->insert(it->key, std::move(it->old_row));
+        capture_history(it->table, it->key, inserted ? nullptr : &stored->row);
+        touch_present(it->table, it->key, *stored, /*was_absent=*/true);
         break;
+      }
     }
-    // The key's value just changed again (back to its pre-statement state);
-    // re-touching may over-approximate the dirty set, which is always safe.
-    touch(it->table, it->key);
   }
   txn.undo.clear();
 }
@@ -615,12 +613,13 @@ Engine::Snapshot Engine::snapshot_filtered(
       writer = BytesWriter();
       rows_in_batch = 0;
     };
-    table.storage->scan([&](const Key& key, const Row& row) {
+    table.storage->scan([&](const Key& key, const StoredRow& stored) {
       if (include && !include(name, key)) return true;
-      serialize_row(writer, row);
+      serialize_row(writer, stored.row);
       ++rows_in_batch;
       cost += traits_.costs.snap_serialize_col_us * static_cast<double>(cols) +
-              traits_.costs.snap_serialize_byte_us * static_cast<double>(row_wire_size(row));
+              traits_.costs.snap_serialize_byte_us *
+                  static_cast<double>(row_wire_size(stored.row));
       if (writer.size() >= batch_bytes) flush();
       return true;
     });
@@ -639,7 +638,7 @@ std::uint64_t Engine::restore_batch(const SnapshotBatch& batch) {
     cost += traits_.costs.snap_insert_row_us +
             traits_.costs.snap_insert_byte_us * static_cast<double>(row_wire_size(row));
     const Key key = table.schema.key_of(row);
-    table.storage->insert(key, std::move(row));
+    table.storage->insert(key, std::move(row));  // untouched: at or below the floor
   }
   return static_cast<std::uint64_t>(cost);
 }
@@ -648,10 +647,9 @@ void Engine::reset_for_restore(const std::vector<TableSchema>& schemas) {
   tables_.clear();
   txns_.clear();
   locks_ = LockManager();
-  // Dirty history refers to state that just got wiped, so no delta can be
-  // served from here until a transfer completes and stamps the restore
-  // version as the new floor.
-  dirty_.clear();
+  // Touch stamps refer to state that just got wiped (the row stamps went
+  // with the tables), so no delta can be served from here until a transfer
+  // completes and stamps the restore version as the new floor.
   tombstones_.clear();
   delta_floor_ = UINT64_MAX;
   // Version chains likewise describe the wiped state; until the transfer
@@ -664,16 +662,15 @@ void Engine::reset_for_restore(const std::vector<TableSchema>& schemas) {
   for (const TableSchema& schema : schemas) create_table(schema);
 }
 
-void Engine::touch(const std::string& table, const Key& key) {
-  if (table_of(table).storage->get(key) != nullptr) {
-    dirty_[table][key] = state_version_;
-    auto ts = tombstones_.find(table);
-    if (ts != tombstones_.end()) ts->second.erase(key);
-  } else {
-    tombstones_[table][key] = state_version_;
-    auto d = dirty_.find(table);
-    if (d != dirty_.end()) d->second.erase(key);
-  }
+void Engine::touch_present(const std::string& table, const Key& key, StoredRow& stored,
+                           bool was_absent) {
+  stored.touched = state_version_;
+  if (!was_absent) return;
+  if (auto ts = tombstones_.find(table); ts != tombstones_.end()) ts->second.erase(key);
+}
+
+void Engine::touch_absent(const std::string& table, const Key& key) {
+  tombstones_[table][key] = state_version_;
 }
 
 Engine::DeltaSnapshot Engine::delta_snapshot(std::uint64_t since,
@@ -681,16 +678,18 @@ Engine::DeltaSnapshot Engine::delta_snapshot(std::uint64_t since,
   SHADOW_REQUIRE_MSG(delta_valid(since), "delta requested below the tracking floor");
   DeltaSnapshot delta;
   double cost = 0.0;
-  for (const auto& [name, touched] : dirty_) {
-    const Table& table = table_of(name);
+  for (const auto& [name, table] : tables_) {
     const std::size_t cols = table.schema.columns.size();
-    // Deterministic emission: sort the touched keys (the maps are hashed).
-    std::vector<const Key*> keys;
-    for (const auto& [key, version] : touched) {
-      if (version > since) keys.push_back(&key);
+    // Deterministic emission: key order (hash storage visits unordered).
+    std::vector<std::pair<const Key*, const Row*>> touched;
+    table.storage->scan([&](const Key& key, const StoredRow& stored) {
+      if (stored.touched > since) touched.emplace_back(&key, &stored.row);
+      return true;
+    });
+    if (!table.storage->ordered()) {
+      std::sort(touched.begin(), touched.end(),
+                [](const auto& a, const auto& b) { return *a.first < *b.first; });
     }
-    std::sort(keys.begin(), keys.end(),
-              [](const Key* a, const Key* b) { return *a < *b; });
     BytesWriter writer;
     std::size_t rows_in_batch = 0;
     auto flush = [&]() {
@@ -705,9 +704,7 @@ Engine::DeltaSnapshot Engine::delta_snapshot(std::uint64_t since,
       writer = BytesWriter();
       rows_in_batch = 0;
     };
-    for (const Key* key : keys) {
-      const Row* row = table.storage->get(*key);
-      SHADOW_CHECK_MSG(row != nullptr, "dirty key missing from storage");
+    for (const auto& [key, row] : touched) {
       serialize_row(writer, *row);
       ++rows_in_batch;
       cost += traits_.costs.snap_serialize_col_us * static_cast<double>(cols) +
@@ -739,13 +736,10 @@ std::uint64_t Engine::restore_upsert_batch(const SnapshotBatch& batch) {
     cost += traits_.costs.snap_insert_row_us +
             traits_.costs.snap_insert_byte_us * static_cast<double>(row_wire_size(row));
     const Key key = table.schema.key_of(row);
-    capture_history(batch.table, key);
-    if (Row* existing = table.storage->get_mutable(key)) {
-      *existing = std::move(row);
-    } else {
-      table.storage->insert(key, std::move(row));
-    }
-    touch(batch.table, key);
+    const auto [stored, inserted] = table.storage->insert(key, std::move(row));
+    capture_history(batch.table, key, inserted ? nullptr : &stored->row);
+    if (!inserted) stored->row = std::move(row);
+    touch_present(batch.table, key, *stored, /*was_absent=*/inserted);
   }
   return static_cast<std::uint64_t>(cost);
 }
@@ -753,11 +747,7 @@ std::uint64_t Engine::restore_upsert_batch(const SnapshotBatch& batch) {
 std::uint64_t Engine::apply_deletes(const std::string& table_name,
                                     const std::vector<Key>& keys) {
   Table& table = table_of(table_name);
-  for (const Key& key : keys) {
-    capture_history(table_name, key);
-    table.storage->erase(key);
-    touch(table_name, key);
-  }
+  for (const Key& key : keys) erase_key(table, table_name, key);
   return traits_.costs.point_write_us * keys.size();
 }
 
@@ -765,19 +755,21 @@ std::size_t Engine::delete_where_key(const std::string& table_name,
                                      const std::function<bool(const Key&)>& include) {
   Table& table = table_of(table_name);
   std::vector<Key> doomed;
-  table.storage->scan([&](const Key& key, const Row&) {
+  table.storage->scan([&](const Key& key, const StoredRow&) {
     if (include(key)) doomed.push_back(key);
     return true;
   });
-  for (const Key& key : doomed) {
-    capture_history(table_name, key);
-    table.storage->erase(key);
-    touch(table_name, key);
-  }
+  for (const Key& key : doomed) erase_key(table, table_name, key);
   return doomed.size();
 }
 
-void Engine::capture_history(const std::string& table, const Key& key) {
+void Engine::erase_key(Table& table, const std::string& table_name, const Key& key) {
+  const std::optional<Row> row = table.storage->take(key);
+  capture_history(table_name, key, row ? &*row : nullptr);
+  touch_absent(table_name, key);
+}
+
+void Engine::capture_history(const std::string& table, const Key& key, const Row* pre_image) {
   VersionChain& chain = history_[table][key];
   // One capture per state version: the chain records the value at the
   // version's start, and later mutations within the version overwrite state
@@ -785,59 +777,42 @@ void Engine::capture_history(const std::string& table, const Key& key) {
   if (!chain.empty() && chain.back().superseded_at >= state_version_) return;
   VersionEntry entry;
   entry.superseded_at = state_version_;
-  if (const Row* row = table_of(table).storage->get(key)) {
+  if (pre_image != nullptr) {
     entry.existed = true;
-    entry.row = *row;
+    entry.row = *pre_image;
   }
   chain.push_back(std::move(entry));
   ++history_entries_;
   if (++captures_since_gc_ >= 4096) gc_versions();
 }
 
-std::pair<bool, const Row*> Engine::value_at(const std::string& table, const Key& key,
-                                             std::uint64_t version) const {
-  // A key untouched since `version` reads straight from storage.
-  std::uint64_t last_touch = 0;
-  bool touched = false;
-  if (auto d = dirty_.find(table); d != dirty_.end()) {
-    if (auto it = d->second.find(key); it != d->second.end()) {
-      last_touch = it->second;
-      touched = true;
-    }
-  }
-  if (!touched) {
-    if (auto t = tombstones_.find(table); t != tombstones_.end()) {
-      if (auto it = t->second.find(key); it != t->second.end()) {
-        last_touch = it->second;
-        touched = true;
-      }
-    }
-  }
-  if (touched && last_touch > version) {
-    // Mutated after `version`: the first chain entry superseding the key
-    // later than `version` preserved its value as of `version`.
-    if (auto h = history_.find(table); h != history_.end()) {
-      if (auto it = h->second.find(key); it != h->second.end()) {
-        const VersionChain& chain = it->second;
-        auto e = std::lower_bound(
-            chain.begin(), chain.end(), version,
-            [](const VersionEntry& a, std::uint64_t v) { return a.superseded_at <= v; });
-        if (e != chain.end()) return {e->existed, e->existed ? &e->row : nullptr};
-      }
-    }
-    // Pre-image GC'd or never captured — only reachable below the floor,
-    // which read_version_valid() callers never are.
-  }
-  const Row* row = table_of(table).storage->get(key);
-  return {row != nullptr, row};
+const Engine::VersionEntry* Engine::entry_after(const VersionChain& chain,
+                                                std::uint64_t version) {
+  auto e = std::lower_bound(
+      chain.begin(), chain.end(), version,
+      [](const VersionEntry& a, std::uint64_t v) { return a.superseded_at <= v; });
+  return e == chain.end() ? nullptr : &*e;
+}
+
+const Engine::VersionEntry* Engine::pre_image_after(const std::string& table, const Key& key,
+                                                    std::uint64_t version) const {
+  auto h = history_.find(table);
+  if (h == history_.end()) return nullptr;
+  auto it = h->second.find(key);
+  return it == h->second.end() ? nullptr : entry_after(it->second, version);
 }
 
 ExecResult Engine::read_at(const Statement& stmt, std::uint64_t version) const {
   ExecResult result;
   if (stmt.kind == Statement::Kind::kSelect) {
     result.cost_us = traits_.costs.point_read_us;
-    const auto [exists, row] = value_at(stmt.table, stmt.key, version);
-    if (exists) {
+    const Row* row = nullptr;
+    if (const VersionEntry* e = pre_image_after(stmt.table, stmt.key, version)) {
+      if (e->existed) row = &e->row;
+    } else if (const StoredRow* stored = table_of(stmt.table).storage->find(stmt.key)) {
+      row = &stored->row;
+    }
+    if (row != nullptr) {
       result.cost_us += static_cast<std::uint64_t>(traits_.costs.byte_us *
                                                    static_cast<double>(row_wire_size(*row)));
       result.rows.push_back(project(*row, stmt.select_columns));
@@ -857,24 +832,32 @@ ExecResult Engine::read_at(const Statement& stmt, std::uint64_t version) const {
   ScanAccumulator accum{stmt, result};
   std::size_t visited = 0;
   // Pass 1: keys currently in storage, each reconstructed as of `version`.
-  table.storage->scan([&](const Key& key, const Row&) {
+  // A row whose touch stamp is at or below `version` is its own value then;
+  // only rows mutated since need their chains.
+  table.storage->scan([&](const Key& key, const StoredRow& stored) {
     ++visited;
-    const auto [exists, row] = value_at(stmt.table, key, version);
-    if (exists && matches(*row)) accum.add(*row);
+    const Row* row = &stored.row;
+    if (stored.touched > version) {
+      if (const VersionEntry* e = pre_image_after(stmt.table, key, version)) {
+        row = e->existed ? &e->row : nullptr;
+      }
+    }
+    if (row != nullptr && matches(*row)) accum.add(*row);
     return true;
   });
   // Pass 2: keys deleted since `version` survive only in the version chains
   // (sorted for deterministic row order).
   if (auto h = history_.find(stmt.table); h != history_.end()) {
-    std::vector<const Key*> gone;
+    std::vector<std::pair<const Key*, const VersionChain*>> gone;
     for (const auto& [key, chain] : h->second) {
-      if (table.storage->get(key) == nullptr) gone.push_back(&key);
+      if (table.storage->find(key) == nullptr) gone.emplace_back(&key, &chain);
     }
-    std::sort(gone.begin(), gone.end(), [](const Key* a, const Key* b) { return *a < *b; });
-    for (const Key* key : gone) {
+    std::sort(gone.begin(), gone.end(),
+              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+    for (const auto& [key, chain] : gone) {
       ++visited;
-      const auto [exists, row] = value_at(stmt.table, *key, version);
-      if (exists && matches(*row)) accum.add(*row);
+      const VersionEntry* e = entry_after(*chain, version);
+      if (e != nullptr && e->existed && matches(e->row)) accum.add(e->row);
     }
   }
   accum.finish();
@@ -930,9 +913,9 @@ std::uint64_t Engine::state_digest() const {
   KeyHash hasher;
   for (const auto& [name, table] : tables_) {
     const std::uint64_t table_tag = std::hash<std::string>{}(name);
-    table.storage->scan([&](const Key&, const Row& row) {
+    table.storage->scan([&](const Key&, const StoredRow& stored) {
       std::uint64_t h = table_tag;
-      h ^= hasher(row) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h ^= hasher(stored.row) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       digest += h * 0x2545f4914f6cdd1dULL;
       return true;
     });

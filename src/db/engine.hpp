@@ -132,17 +132,19 @@ class Engine {
   //
   // The replication layer stamps a monotone state version on the engine as it
   // applies its command sequence (the same version at the same position on
-  // every replica of a group). Every mutation marks its key dirty at the
-  // current version; a delta snapshot "since V" then ships exactly the rows
-  // touched after V plus the keys deleted after V — a receiver whose state
-  // matches version V reaches the sender's state by upserting/deleting them.
+  // every replica of a group). Every mutation stamps the current version on
+  // what it leaves behind: on the row's storage entry if the key is present
+  // (StoredRow::touched), in a per-table tombstone map if it is absent. A
+  // delta snapshot "since V" then ships exactly the rows stamped after V plus
+  // the keys tombstoned after V — a receiver whose state matches version V
+  // reaches the sender's state by upserting/deleting them.
 
   /// Sets the current state version; mutations stamp their keys with it.
   void set_state_version(std::uint64_t v) { state_version_ = v; }
   std::uint64_t state_version() const { return state_version_; }
-  /// Oldest version a delta can be served from. 0 on a fresh engine (dirty
-  /// tracking has seen every mutation); raised to the restore version after a
-  /// full restore (history before it was never observed here).
+  /// Oldest version a delta can be served from. 0 on a fresh engine (every
+  /// mutation has been stamped); raised to the restore version after a full
+  /// restore (history before it was never observed here).
   std::uint64_t delta_floor() const { return delta_floor_; }
   /// Also re-opens versioned reads from `v`: a completed restore at version
   /// `v` makes current storage exactly the state at `v`. Until then a full
@@ -183,11 +185,12 @@ class Engine {
   // Every mutation captures the key's pre-image into a bounded version chain
   // before overwriting it, stamped with the state version doing the
   // overwrite. A read "at version V" then reconstructs the row exactly as it
-  // stood after all mutations stamped <= V: if the key's last touch is <= V
-  // the current storage value is the answer; otherwise the first chain entry
-  // superseding it after V holds the historical value. Readers never take
-  // locks and writers never wait for readers — the chains are append-only
-  // and GC'd below the slowest registered reader.
+  // stood after all mutations stamped <= V: the first chain entry superseding
+  // the key after V holds the historical value, and a key with none is
+  // unchanged since V, so current storage is the answer. A scan skips the
+  // chain lookup for rows whose storage-entry stamp is <= V. Readers never
+  // take locks and writers never wait for readers — the chains are
+  // append-only and GC'd below the slowest registered reader.
 
   /// Pins `version` against GC; returns a reader id for release_reader().
   std::uint64_t register_reader(std::uint64_t version);
@@ -228,18 +231,21 @@ class Engine {
 
   Table& table_of(const std::string& name);
   const Table& table_of(const std::string& name) const;
-  /// Records a mutation of (table, key) at the current state version: the
-  /// key joins the dirty set if present in storage, the tombstone set if not.
-  void touch(const std::string& table, const Key& key);
-  /// Appends the key's current value (or absence) to its version chain,
-  /// stamped superseded-at the current state version. Called BEFORE every
-  /// mutation; a second capture within the same state version is a no-op
-  /// (the chain records the value at the version's start).
-  void capture_history(const std::string& table, const Key& key);
-  /// The (exists, row) pair as of `version`. The pointer stays valid until
-  /// the next mutation or GC.
-  std::pair<bool, const Row*> value_at(const std::string& table, const Key& key,
-                                       std::uint64_t version) const;
+  /// Stamps a mutation that left (table, key) in storage at the current state
+  /// version. `was_absent` (an insert) also drops the key's tombstone: a key
+  /// is tombstoned only while absent.
+  void touch_present(const std::string& table, const Key& key, StoredRow& stored,
+                     bool was_absent);
+  /// Stamps a mutation that left (table, key) absent: tombstones the key.
+  void touch_absent(const std::string& table, const Key& key);
+  /// Removes (table, key) from storage as one mutation: capture, erase, stamp.
+  void erase_key(Table& table, const std::string& table_name, const Key& key);
+  /// Appends the key's value before the current mutation (`pre_image`, null
+  /// if absent) to its version chain, stamped superseded-at the current
+  /// state version. Called for every mutation; a second capture within the
+  /// same state version is a no-op (the chain records the value at the
+  /// version's start).
+  void capture_history(const std::string& table, const Key& key, const Row* pre_image);
   ExecResult run_statement(Txn& txn, TxnId id, const Statement& stmt);
   ExecResult do_insert(Txn& txn, const Statement& stmt, Table& table);
   ExecResult do_point(Txn& txn, const Statement& stmt, Table& table);
@@ -260,14 +266,13 @@ class Engine {
   std::uint64_t committed_ = 0;
   std::uint64_t aborted_ = 0;
 
-  // Delta state-transfer tracking: last-touch version per key. A key lives in
-  // at most one of the two maps (dirty if present in storage, tombstone if
-  // deleted). Cleared by reset_for_restore (the floor takes over).
-  using TouchMap = std::unordered_map<Key, std::uint64_t, KeyHash>;
+  // Delta state-transfer tracking: a present key's last-touch version lives
+  // on its storage entry; an absent key's, if a mutation removed it, here.
+  // Cleared by reset_for_restore (the floor takes over).
+  using Tombstones = std::unordered_map<Key, std::uint64_t, KeyHash>;
   std::uint64_t state_version_ = 0;
   std::uint64_t delta_floor_ = 0;
-  std::map<std::string, TouchMap> dirty_;
-  std::map<std::string, TouchMap> tombstones_;
+  std::map<std::string, Tombstones> tombstones_;
 
   // MVCC-lite version chains: per key, the pre-images of its mutations in
   // ascending superseded-at order. An entry {V, existed, row} holds the value
@@ -279,6 +284,16 @@ class Engine {
     Row row;
   };
   using VersionChain = std::vector<VersionEntry>;
+  /// The first entry of `chain` superseded after `version` (null if none):
+  /// the key's value as of `version`, if a later mutation replaced it.
+  static const VersionEntry* entry_after(const VersionChain& chain, std::uint64_t version);
+  /// entry_after on (table, key)'s chain. Null means the key is unchanged
+  /// since `version` (for any version read_version_valid() admits): every
+  /// mutation stamped V leaves an entry superseded at V, and GC keeps every
+  /// entry above the floor. The one capture that is not a mutation, a
+  /// rejected duplicate insert, holds the unchanged current row.
+  const VersionEntry* pre_image_after(const std::string& table, const Key& key,
+                                      std::uint64_t version) const;
   std::map<std::string, std::unordered_map<Key, VersionChain, KeyHash>> history_;
   std::unordered_map<std::uint64_t, std::uint64_t> readers_;  // reader id → version
   std::uint64_t next_reader_ = 1;

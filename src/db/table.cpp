@@ -1,5 +1,7 @@
 #include "db/table.hpp"
 
+#include <algorithm>
+
 namespace shadow::db {
 
 std::size_t KeyHash::operator()(const Key& key) const {
@@ -24,58 +26,98 @@ std::size_t KeyHash::operator()(const Key& key) const {
   return h;
 }
 
-bool HashStorage::insert(const Key& key, Row row) {
-  return rows_.try_emplace(key, std::move(row)).second;
+namespace {
+
+/// Compares the key's leading `prefix.size()` columns to `prefix`: negative,
+/// zero or positive (a key shorter than the prefix orders before it).
+int compare_leading(const Key& key, const Key& prefix) {
+  const std::size_t n = std::min(key.size(), prefix.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = key[i] <=> prefix[i];
+    if (c < 0) return -1;
+    if (c > 0) return 1;
+  }
+  return key.size() < prefix.size() ? -1 : 0;
 }
 
-const Row* HashStorage::get(const Key& key) const {
+}  // namespace
+
+bool KeyLess::operator()(const Key& key, const KeyPrefix& prefix) const {
+  return compare_leading(key, prefix.cols) < 0;
+}
+
+bool KeyLess::operator()(const KeyPrefix& prefix, const Key& key) const {
+  return compare_leading(key, prefix.cols) > 0;
+}
+
+std::pair<StoredRow*, bool> HashStorage::insert(const Key& key, Row&& row) {
+  auto [it, inserted] = rows_.try_emplace(key);
+  if (inserted) it->second.row = std::move(row);
+  return {&it->second, inserted};
+}
+
+const StoredRow* HashStorage::find(const Key& key) const {
   auto it = rows_.find(key);
   return it == rows_.end() ? nullptr : &it->second;
 }
 
-Row* HashStorage::get_mutable(const Key& key) {
+StoredRow* HashStorage::find(const Key& key) {
   auto it = rows_.find(key);
   return it == rows_.end() ? nullptr : &it->second;
 }
 
-bool HashStorage::erase(const Key& key) { return rows_.erase(key) > 0; }
+std::optional<Row> HashStorage::take(const Key& key) {
+  auto node = rows_.extract(key);
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped().row);
+}
 
-void HashStorage::scan(const std::function<bool(const Key&, const Row&)>& visit) const {
-  for (const auto& [key, row] : rows_) {
-    if (!visit(key, row)) return;
+void HashStorage::scan(const RowVisitor& visit) const {
+  for (const auto& [key, stored] : rows_) {
+    if (!visit(key, stored)) return;
   }
 }
 
-void HashStorage::scan_from(const Key& /*start*/,
-                            const std::function<bool(const Key&, const Row&)>& visit) const {
+void HashStorage::scan_range(const Key& /*start*/, const Key& /*last*/,
+                             const RowVisitor& visit) const {
   scan(visit);  // no key order available: full scan
 }
 
-bool OrderedStorage::insert(const Key& key, Row row) {
-  return rows_.try_emplace(key, std::move(row)).second;
+std::pair<StoredRow*, bool> OrderedStorage::insert(const Key& key, Row&& row) {
+  auto [it, inserted] = rows_.try_emplace(key);
+  if (inserted) it->second.row = std::move(row);
+  return {&it->second, inserted};
 }
 
-const Row* OrderedStorage::get(const Key& key) const {
+const StoredRow* OrderedStorage::find(const Key& key) const {
   auto it = rows_.find(key);
   return it == rows_.end() ? nullptr : &it->second;
 }
 
-Row* OrderedStorage::get_mutable(const Key& key) {
+StoredRow* OrderedStorage::find(const Key& key) {
   auto it = rows_.find(key);
   return it == rows_.end() ? nullptr : &it->second;
 }
 
-bool OrderedStorage::erase(const Key& key) { return rows_.erase(key) > 0; }
+std::optional<Row> OrderedStorage::take(const Key& key) {
+  auto node = rows_.extract(key);
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped().row);
+}
 
-void OrderedStorage::scan(const std::function<bool(const Key&, const Row&)>& visit) const {
-  for (const auto& [key, row] : rows_) {
-    if (!visit(key, row)) return;
+void OrderedStorage::scan(const RowVisitor& visit) const {
+  for (const auto& [key, stored] : rows_) {
+    if (!visit(key, stored)) return;
   }
 }
 
-void OrderedStorage::scan_from(const Key& start,
-                               const std::function<bool(const Key&, const Row&)>& visit) const {
-  for (auto it = rows_.lower_bound(start); it != rows_.end(); ++it) {
+void OrderedStorage::scan_range(const Key& start, const Key& last,
+                                const RowVisitor& visit) const {
+  auto it = rows_.lower_bound(start);
+  // An empty range (start beyond last) would put `end` before `it`.
+  if (it == rows_.end() || compare_leading(it->first, last) > 0) return;
+  const auto end = rows_.upper_bound(KeyPrefix{last});
+  for (; it != end; ++it) {
     if (!visit(it->first, it->second)) return;
   }
 }

@@ -36,9 +36,20 @@ TxnOutcome run_procedure(db::Engine& engine, const ProcedureFn& proc, const Para
       if (engine.is_active(txn)) engine.abort(txn);
       break;
     }
-    if (!result.rows.empty()) outcome.rows = result.rows;
-    if (!result.agg_value.is_null()) outcome.agg_value = result.agg_value;
     results.push_back(std::move(result));
+  }
+  // The outcome carries the last non-empty result set and the last aggregate.
+  for (auto it = results.rbegin(); it != results.rend(); ++it) {
+    if (!it->rows.empty()) {
+      outcome.rows = std::move(it->rows);
+      break;
+    }
+  }
+  for (auto it = results.rbegin(); it != results.rend(); ++it) {
+    if (!it->agg_value.is_null()) {
+      outcome.agg_value = std::move(it->agg_value);
+      break;
+    }
   }
   return outcome;
 }

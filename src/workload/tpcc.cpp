@@ -1,7 +1,7 @@
 #include "workload/tpcc.hpp"
 
 #include <algorithm>
-#include <set>
+#include <optional>
 
 namespace shadow::workload::tpcc {
 
@@ -487,15 +487,23 @@ ProcStep stock_level_step(const StepContext& ctx) {
     scan.select_columns = {ol_col::i_id};
     return ProcStep::statement(std::move(scan));
   }
-  // One stock read per distinct item of the last 20 orders, then count
-  // below-threshold quantities (the count is computed procedure-side).
-  std::set<std::int64_t> distinct;
-  for (const db::Row& row : ctx.results[1].rows) distinct.insert(row[0].as_int());
-  std::vector<std::int64_t> items(distinct.begin(), distinct.end());
-  const std::size_t i = ctx.step - 2;
-  if (i < items.size()) {
-    return ProcStep::statement(db::make_select("stock", {w, Value(items[i])}));
+  // One stock read per distinct item of the last 20 orders, in ascending item
+  // order, then count below-threshold quantities (the count is computed
+  // procedure-side). Each step reads the smallest item above the one the
+  // previous step read, so no step rebuilds the distinct set.
+  const std::vector<db::Row>& lines = ctx.results[1].rows;
+  std::optional<std::int64_t> above;
+  if (ctx.step > 2) {
+    const std::vector<db::Row>& prev = ctx.results[ctx.step - 1].rows;
+    SHADOW_CHECK(!prev.empty());  // every ordered item has a stock row
+    above = prev[0][stock_col::i].as_int();
   }
+  std::optional<std::int64_t> next;
+  for (const db::Row& row : lines) {
+    const std::int64_t item = row[0].as_int();
+    if ((!above || item > *above) && (!next || item < *next)) next = item;
+  }
+  if (next) return ProcStep::statement(db::make_select("stock", {w, Value(*next)}));
   (void)threshold;  // the low-stock count is derived by the caller if needed
   return ProcStep::commit();
 }

@@ -203,6 +203,131 @@ TEST_F(MvccTest, ReadAtRejectsWriteStatements) {
   EXPECT_FALSE(r.ok());
 }
 
+// ---- delta tracking edge cases ----------------------------------------------------
+
+struct DeltaKeys {
+  std::vector<std::int64_t> upserts;  // keys shipped as current rows, in order
+  std::vector<std::int64_t> deletes;  // keys shipped as deletions, in order
+};
+
+DeltaKeys delta_keys(const Engine& engine, std::uint64_t since) {
+  const Engine::DeltaSnapshot delta = engine.delta_snapshot(since);
+  DeltaKeys out;
+  for (const Engine::SnapshotBatch& batch : delta.upserts) {
+    BytesReader reader(batch.data);
+    while (!reader.done()) out.upserts.push_back(deserialize_row(reader)[0].as_int());
+  }
+  for (const auto& [table, keys] : delta.deletes) {
+    for (const Key& key : keys) out.deletes.push_back(key[0].as_int());
+  }
+  return out;
+}
+
+TEST_F(MvccTest, DeltaShipsDeleteThenReinsertAsUpsert) {
+  put_at(1, 1, 10);
+  put_at(1, 2, 20);
+  delete_at(2, 1);
+  put_at(3, 1, 11);
+  const DeltaKeys d = delta_keys(engine_, 1);
+  EXPECT_EQ(d.upserts, std::vector<std::int64_t>{1});
+  EXPECT_TRUE(d.deletes.empty());
+}
+
+TEST_F(MvccTest, DeltaShipsInsertThenDeleteAsDeleteOnly) {
+  put_at(1, 1, 10);
+  put_at(2, 5, 50);
+  delete_at(3, 5);
+  const DeltaKeys d = delta_keys(engine_, 1);
+  EXPECT_TRUE(d.upserts.empty());
+  EXPECT_EQ(d.deletes, std::vector<std::int64_t>{5});
+  // Both mutations inside one version: still a delete only.
+  engine_.set_state_version(4);
+  const TxnId t = engine_.begin();
+  ASSERT_TRUE(engine_.execute(t, make_insert("kv", {Value(6), Value(60), Value("x")})).ok());
+  ASSERT_TRUE(engine_.execute(t, make_delete("kv", {Value(6)})).ok());
+  ASSERT_TRUE(engine_.commit(t).ok());
+  const DeltaKeys d4 = delta_keys(engine_, 3);
+  EXPECT_TRUE(d4.upserts.empty());
+  EXPECT_EQ(d4.deletes, std::vector<std::int64_t>{6});
+}
+
+TEST_F(MvccTest, DeltaAfterRolledBackInsertShipsNoRow) {
+  put_at(1, 1, 10);
+  engine_.set_state_version(2);
+  const TxnId t = engine_.begin();
+  ASSERT_TRUE(engine_.execute(t, make_insert("kv", {Value(9), Value(90), Value("x")})).ok());
+  ASSERT_TRUE(engine_.execute(t, make_update("kv", {Value(1)}, {{1, SetOp::kAssign, Value(77)}}))
+                  .ok());
+  engine_.abort(t);
+  // The rollback is itself a mutation at version 2: the rolled-back insert
+  // leaves a (harmless) deletion and the restored row ships unchanged.
+  const DeltaKeys d = delta_keys(engine_, 1);
+  EXPECT_EQ(d.upserts, std::vector<std::int64_t>{1});
+  EXPECT_EQ(d.deletes, std::vector<std::int64_t>{9});
+  EXPECT_EQ(read_at(1, 9), std::nullopt);
+  EXPECT_EQ(read_at(2, 9), std::nullopt);
+  EXPECT_EQ(read_at(2, 1), 10);
+}
+
+TEST_F(MvccTest, RestoredEngineDeltaHoldsOnlyPostRestoreTouches) {
+  for (std::int64_t k = 0; k < 10; ++k) put_at(1, k, k);
+  update_at(2, 3, 33);
+  const Engine::Snapshot snap = engine_.snapshot();
+  engine_.reset_for_restore(snap.schemas);
+  for (const Engine::SnapshotBatch& b : snap.batches) engine_.restore_batch(b);
+  engine_.set_delta_floor(2);
+  engine_.set_state_version(2);
+  EXPECT_FALSE(engine_.delta_valid(1));
+  EXPECT_TRUE(delta_keys(engine_, 2).upserts.empty());
+
+  update_at(3, 7, 70);
+  delete_at(3, 4);
+  put_at(4, 12, 120);
+  const DeltaKeys d = delta_keys(engine_, 2);
+  EXPECT_EQ(d.upserts, (std::vector<std::int64_t>{7, 12}));
+  EXPECT_EQ(d.deletes, std::vector<std::int64_t>{4});
+  // Restored rows read as of the floor; post-restore touches resolve through
+  // their chains.
+  EXPECT_EQ(read_at(2, 3), 33);
+  EXPECT_EQ(read_at(2, 7), 7);
+  EXPECT_EQ(read_at(3, 7), 70);
+  EXPECT_EQ(read_at(2, 4), 4);
+  EXPECT_EQ(read_at(3, 4), std::nullopt);
+}
+
+TEST_F(MvccTest, ReadBelowReinsertSeesEachIncarnation) {
+  put_at(1, 1, 10);
+  delete_at(2, 1);
+  put_at(3, 1, 30);
+  update_at(4, 1, 40);
+  EXPECT_EQ(read_at(1, 1), 10);
+  EXPECT_EQ(read_at(2, 1), std::nullopt);
+  EXPECT_EQ(read_at(3, 1), 30);
+  EXPECT_EQ(read_at(4, 1), 40);
+  EXPECT_EQ(sum_at(1), 10);
+  EXPECT_TRUE(engine_.read_at(make_scan("kv", {}), 2).rows.empty());
+  EXPECT_EQ(sum_at(3), 30);
+}
+
+TEST_F(MvccTest, RejectedDuplicateInsertLeavesReadsExact) {
+  put_at(1, 1, 10);
+  // The rejected insert captures the key's (unchanged) row at version 3
+  // without mutating it.
+  engine_.set_state_version(3);
+  const TxnId t = engine_.begin();
+  EXPECT_FALSE(engine_.execute(t, make_insert("kv", {Value(1), Value(99), Value("x")})).ok());
+  if (engine_.is_active(t)) engine_.abort(t);
+  EXPECT_EQ(read_at(1, 1), 10);
+  EXPECT_EQ(read_at(2, 1), 10);
+  EXPECT_EQ(read_at(3, 1), 10);
+  update_at(4, 1, 40);
+  EXPECT_EQ(read_at(2, 1), 10);
+  EXPECT_EQ(read_at(3, 1), 10);
+  EXPECT_EQ(read_at(4, 1), 40);
+  EXPECT_EQ(sum_at(2), 10);
+  EXPECT_TRUE(delta_keys(engine_, 3).upserts == std::vector<std::int64_t>{1});
+}
+
 TEST_F(MvccTest, VersionedReadsTakeNoLocks) {
   put_at(1, 1, 10);
   // A writer holds an exclusive lock on the row; versioned reads must not

@@ -2,6 +2,8 @@
 // deterministic replay across diverse engines, consistency conditions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "workload/tpcc.hpp"
 
 namespace shadow::workload::tpcc {
@@ -130,6 +132,52 @@ TEST_F(TpccTest, StockLevelCommitsReadOnly) {
   const TxnOutcome outcome = run(gen.next_stock_level());
   ASSERT_TRUE(outcome.committed) << outcome.error;
   EXPECT_EQ(engine_.state_digest(), digest);
+}
+
+TEST_F(TpccTest, StockLevelReadsEachDistinctItemOnceInOrder) {
+  TxnGenerator gen(config_, 31);
+  const TxnGenerator::Txn txn = gen.next_stock_level();
+  const db::Value& w = txn.params[0];
+  const db::Value& d = txn.params[1];
+
+  // The items of the district's last 20 orders, read straight from storage.
+  const db::TxnId t = engine_.begin();
+  const auto district = engine_.execute(t, db::make_select("district", {w, d}));
+  ASSERT_EQ(district.rows.size(), 1u);
+  const std::int64_t next_o = district.rows[0][5].as_int();
+  const auto lines = engine_.execute(
+      t, db::make_scan("order_line", {db::Condition{0, db::CmpOp::kEq, w},
+                                      db::Condition{1, db::CmpOp::kEq, d},
+                                      db::Condition{2, db::CmpOp::kGe, db::Value(next_o - 20)},
+                                      db::Condition{2, db::CmpOp::kLt, db::Value(next_o)}}));
+  engine_.commit(t);
+  std::vector<std::int64_t> expected;
+  for (const db::Row& row : lines.rows) expected.push_back(row[4].as_int());
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
+  ASSERT_LT(expected.size(), lines.rows.size()) << "the last 20 orders must repeat items";
+
+  // Record every statement the procedure issues.
+  std::vector<db::Statement> issued;
+  const ProcedureFn& proc = registry_.get(txn.proc);
+  const ProcedureFn recorder = [&](const StepContext& ctx) {
+    ProcStep next = proc(ctx);
+    if (next.kind == ProcStep::Kind::kStatement) issued.push_back(next.stmt);
+    return next;
+  };
+  const TxnOutcome outcome = run_procedure(engine_, recorder, txn.params);
+  ASSERT_TRUE(outcome.committed) << outcome.error;
+
+  ASSERT_EQ(issued.size(), 2 + expected.size());
+  std::vector<std::int64_t> stock_items;
+  for (std::size_t i = 2; i < issued.size(); ++i) {
+    ASSERT_EQ(issued[i].kind, db::Statement::Kind::kSelect);
+    ASSERT_EQ(issued[i].table, "stock");
+    ASSERT_EQ(issued[i].key.size(), 2u);
+    EXPECT_EQ(issued[i].key[0], w);
+    stock_items.push_back(issued[i].key[1].as_int());
+  }
+  EXPECT_EQ(stock_items, expected);
 }
 
 TEST_F(TpccTest, MixedWorkloadPreservesConsistency) {
