@@ -17,9 +17,10 @@
 # cross-shard bank.balance2 pair reads on the lock-free snapshot-read path.
 #
 # Exits 0 iff every transaction committed, every server exited clean (with
-# `split_ms`: committed the range split), AND the merged trace passes total
-# order, at-most-once, durability, strict serializability and (sharded)
-# cross-shard atomicity.
+# `split_ms`: committed the range split, and every host reports one digest
+# per group, so a replica that resynced after the split converged), AND the
+# merged trace passes total order, at-most-once, durability, strict
+# serializability and (sharded) cross-shard atomicity.
 set -u
 
 if [ "${1:-}" = "--help" ] || [ "${1:-}" = "-h" ]; then
@@ -54,7 +55,7 @@ echo "== ShadowDB-${MODE^^} on 127.0.0.1:${BASE_PORT}-$((BASE_PORT + 3)), ${TXNS
 declare -a SERVER_PID
 for h in 0 1 2; do
   "$BIN" --mode "$MODE" --host "$h" --base-port "$BASE_PORT" \
-         --trace "$WORK/t$h.jsonl" --run-for-ms "$RUN_MS" "${EXTRA[@]}" &
+         --trace "$WORK/t$h.jsonl" --run-for-ms "$RUN_MS" "${EXTRA[@]}" >"$WORK/s$h.out" &
   SERVER_PID[$h]=$!
 done
 sleep 0.2
@@ -66,7 +67,17 @@ CLIENT_RC=$?
 SERVER_RC=0
 for h in 0 1 2; do
   wait "${SERVER_PID[$h]}" || SERVER_RC=1
+  cat "$WORK/s$h.out"
 done
+if [ "$SPLIT_MS" -gt 0 ]; then
+  for ((g = 0; g < SHARDS; g++)); do
+    digests="$(grep -h "group $g executed" "$WORK"/s*.out | sed 's/.*digest //' | sort -u)"
+    if [ "$(grep -c . <<<"$digests")" -ne 1 ]; then
+      echo "group $g replicas disagree: $(echo $digests)"
+      SERVER_RC=1
+    fi
+  done
+fi
 
 "$BIN" check "$WORK"/t*.jsonl
 CHECK_RC=$?

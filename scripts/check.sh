@@ -17,7 +17,8 @@
 #     never include consensus/, tob/, or repl/ headers, state transfer
 #     keeps a single stream format, each message stays one contiguous
 #     buffer (no scatter-gather byte layer), and PBR and chain replication
-#     keep one recovery core (no per-protocol recovery headers), the TOB
+#     keep one recovery core (no per-protocol recovery headers), one snapshot
+#     fetch session and one heartbeat detector serve every joiner, the TOB
 #     keeps no per-command delivery history, one helper builds the
 #     consensus safety recorder, and the engine keeps each row's last-touch
 #     version on its storage entry (no per-key dirty map);
@@ -133,6 +134,24 @@ if [[ "${1:-}" != "--fast" ]]; then
       exit 1
     fi
   done
+
+  # One joiner: every snapshot receiver (PBR/chain recovery, SMR rejoin and
+  # spare promotion, range migration) mounts repl::FetchSession, the one
+  # place that dispatches stream frames by header; and one heartbeat failure
+  # detector (core/heartbeat.hpp) keeps every replica's last-heard times.
+  stream_hdr='k(Snap[A-Za-z]*2|MigSnap[A-Za-z]*)Header|[A-Za-z_.]*headers?_?\.(begin|batch|done|deletes)\b'
+  dispatch="$(grep -rlE "header *[!=]= *(${stream_hdr})|(${stream_hdr}) *[!=]= *[A-Za-z_.]*header\b" src || true)"
+  if [[ "$(grep -c . <<<"${dispatch}")" -ne 1 ]]; then
+    echo "FAIL: exactly one file in src/ may dispatch snapshot-stream frames (repl::FetchSession):" >&2
+    echo "${dispatch}" >&2
+    exit 1
+  fi
+  heard="$(grep -rlw 'last_heard_' src || true)"
+  if [[ "$(grep -c . <<<"${heard}")" -ne 1 ]]; then
+    echo "FAIL: exactly one file in src/ may keep heartbeat state (core/heartbeat.hpp):" >&2
+    echo "${heard}" >&2
+    exit 1
+  fi
 
   # Bounded ordering state: a TOB node forgets each slot once delivered and
   # deduplicates through per-client windows, so no per-command history may

@@ -93,7 +93,7 @@ ReplicationGroup make_replication_group(net::Transport& world, const ClusterOpti
   for (std::size_t i = 0; i < total; ++i) {
     auto replica = std::make_unique<SmrReplica>(
         world, rg.replica_nodes[i], *rg.tob.nodes[i], detail::make_loaded_engine(options, i),
-        options.registry, actives, spares, smr_config, options.server_costs);
+        options.registry, actives, spares, rg.tob_nodes, smr_config, options.server_costs);
     if (i >= options.db_replicas) replica->make_spare();
     rg.replicas.push_back(std::move(replica));
   }

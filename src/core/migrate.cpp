@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "core/smr.hpp"  // kControlClientBit
+#include "core/smr.hpp"
 #include "obs/trace.hpp"
-#include "repl/state_transfer.hpp"
 #include "tob/tob.hpp"
 
 namespace shadow::core {
@@ -48,21 +47,42 @@ workload::TxnRequest make_split_request(const RangeSpec& spec) {
   return req;
 }
 
-RangeMigrator::RangeMigrator(net::Transport& world, NodeId self, GroupId group,
+RangeMigrator::RangeMigrator(net::Transport& world, SmrReplica& replica, GroupId group,
                              RoutingView& view, TxnExecutor& executor, XsCoordinator* xs,
-                             const std::vector<NodeId>* group_members, const bool* active,
                              Config cfg)
     : world_(world),
-      self_(self),
+      replica_(replica),
+      self_(replica.node()),
       group_(group),
       view_(view),
       executor_(executor),
       xs_(xs),
-      group_members_(group_members),
-      active_(active),
       cfg_(std::move(cfg)) {
   world_.schedule_timer_for_node(self_, world_.now() + kMigTickPeriod,
                                  [this](net::NodeContext& ctx) { on_tick(ctx); });
+}
+
+RangeMigrator::Migration& RangeMigrator::add_migration(const RangeSpec& spec) {
+  Migration& m = migrations_[spec.mid];
+  m.spec = spec;
+  repl::FetchSession::Mount mount;
+  mount.headers = {kMigSnapBeginHeader, kMigSnapBatchHeader, kMigSnapDoneHeader,
+                   kMigSnapDeleteHeader};
+  mount.tag = spec.mid;
+  mount.engine = &executor_.engine();
+  mount.receiver = {cfg_.tracer, self_, /*buffer=*/true};
+  repl::FetchSession::Hooks hooks;
+  hooks.done = [this, &m](net::NodeContext& ctx, const repl::SnapDone2Body&, NodeId,
+                          std::uint64_t) {
+    m.batches = m.fetch.take_batches();
+    m.buffered = true;
+    broadcast_ready(ctx, m);
+    maybe_commit(ctx, m);
+  };
+  // A gap, a malformed frame or a silent sweep: pull from the next donor.
+  hooks.refetch = [this, &m](net::NodeContext& ctx, NodeId) { send_pull(ctx, m); };
+  m.fetch = repl::FetchSession(std::move(mount), std::move(hooks));
+  return m;
 }
 
 void RangeMigrator::count(const char* metric, std::uint64_t n) const {
@@ -96,9 +116,7 @@ void RangeMigrator::handle_split(net::NodeContext& ctx, const workload::TxnReque
   if (spec.from == spec.to || spec.lo >= spec.hi) return;
   if (spec.from >= view_.shard_count() || spec.to >= view_.shard_count()) return;
   if (migrations_.count(spec.mid) != 0) return;  // stale rebroadcast
-  Migration m;
-  m.spec = spec;
-  migrations_.emplace(spec.mid, std::move(m));
+  add_migration(spec);
   count("mig.freezes");
   // The pull handshake is timer-driven (on_tick): a split delivered into a
   // to-replica starts pulling at the next sweep.
@@ -128,16 +146,17 @@ void RangeMigrator::maybe_commit(net::NodeContext& ctx, Migration& m) {
   // resync at its own commit delivery (handle_commit). Re-evaluated on
   // reconfigurations and every tick.
   if (m.committed || group_ != m.spec.to) return;
+  const std::vector<NodeId>& members = replica_.group();
   std::size_t ready_members = 0;
   bool live_covered = true;
-  for (const NodeId n : *group_members_) {
+  for (const NodeId n : members) {
     if (m.ready.count(n.value) != 0) {
       ++ready_members;
-    } else if (!cfg_.peer_live || cfg_.peer_live(n)) {
+    } else if (replica_.detector().live(n, ctx.now())) {
       live_covered = false;
     }
   }
-  if (!live_covered && ready_members * 2 <= group_members_->size()) return;
+  if (!live_covered && ready_members * 2 <= members.size()) return;
   broadcast_commit(ctx, m);
 }
 
@@ -155,20 +174,15 @@ void RangeMigrator::handle_commit(net::NodeContext& ctx, const workload::TxnRequ
       return;
     }
   }
-  auto it = migrations_.find(spec.mid);
-  if (it == migrations_.end()) {
-    // The admin's split broadcast to this group was lost and only the commit
-    // landed: synthesize the record (this group never froze, which is safe —
-    // it owned none of the range's keys before OR after the flip unless it
-    // is the to-group, where the missing buffer is counted below).
-    Migration m;
-    m.spec = spec;
-    it = migrations_.emplace(spec.mid, std::move(m)).first;
-  }
-  Migration& m = it->second;
+  const auto it = migrations_.find(spec.mid);
+  // The admin's split broadcast to this group may have been lost and only
+  // the commit landed: synthesize the record (this group never froze, which
+  // is safe — it owned none of the range's keys before OR after the flip
+  // unless it is the to-group, where the missing buffer is counted below).
+  Migration& m = it != migrations_.end() ? it->second : add_migration(spec);
   if (m.committed) return;  // stale rebroadcast
   m.committed = true;
-  m.receiving = false;
+  m.fetch.stop();
   db::Engine& engine = executor_.engine();
   if (group_ == m.spec.from) {
     // Drop the donated rows while the view still maps them here (the
@@ -192,11 +206,8 @@ void RangeMigrator::handle_commit(net::NodeContext& ctx, const workload::TxnRequ
       // a full resync from a peer, whose snapshot carries the post-commit
       // rows and this override in the rejoin rider.
       count("mig.buffer_miss");
-      if (cfg_.resync) {
-        cfg_.resync();
-        return;
-      }
-      // No resync hook mounted: half-apply and leave the gap on the books.
+      replica_.resync();
+      return;
     }
     if (cfg_.flush) cfg_.flush();
     std::uint64_t cost = 0;
@@ -288,55 +299,8 @@ bool RangeMigrator::on_message(net::NodeContext& ctx, const net::Message& msg) {
     serve_pull(ctx, net::msg_body<MigPullBody>(msg).mid, msg.from);
     return true;
   }
-  if (msg.header == kMigSnapBeginHeader) {
-    const auto& begin = net::msg_body<repl::SnapBegin2Body>(msg);
-    const auto it = migrations_.find(begin.tag);
-    if (it == migrations_.end()) return true;
-    Migration& m = it->second;
-    if (m.committed || m.buffered || group_ != m.spec.to) return true;
-    m.receiving = true;
-    m.frames_seen = 0;
-    m.batches.clear();
-    return true;
-  }
-  if (msg.header == kMigSnapBatchHeader) {
-    const auto& body = net::msg_body<repl::SnapBatch2Body>(msg);
-    const auto it = migrations_.find(body.tag);
-    if (it == migrations_.end()) return true;
-    Migration& m = it->second;
-    if (!m.receiving) return true;
-    db::Engine::SnapshotBatch batch;
-    if (!repl::StateTransfer::unwrap_batch(body, batch)) {
-      m.receiving = false;  // malformed frame; the tick re-pulls
-      m.batches.clear();
-      return true;
-    }
-    m.batches.push_back(std::move(batch));
-    ++m.frames_seen;
-    return true;
-  }
-  if (msg.header == kMigSnapDeleteHeader) {
-    // Filtered migration streams are always full-mode; a delete frame still
-    // counts toward the frame total for gap detection.
-    const auto it = migrations_.find(net::msg_body<repl::SnapDelete2Body>(msg).tag);
-    if (it != migrations_.end() && it->second.receiving) ++it->second.frames_seen;
-    return true;
-  }
-  if (msg.header == kMigSnapDoneHeader) {
-    const auto& done = net::msg_body<repl::SnapDone2Body>(msg);
-    const auto it = migrations_.find(done.tag);
-    if (it == migrations_.end()) return true;
-    Migration& m = it->second;
-    if (!m.receiving) return true;
-    m.receiving = false;
-    if (m.frames_seen != done.frames) {
-      m.batches.clear();  // checksum-dropped frame; the tick re-pulls
-      return true;
-    }
-    m.buffered = true;
-    broadcast_ready(ctx, m);
-    maybe_commit(ctx, m);
-    return true;
+  for (auto& [mid, m] : migrations_) {
+    if (m.fetch.on_message(ctx, msg)) return true;
   }
   return false;
 }
@@ -345,7 +309,7 @@ void RangeMigrator::serve_pull(net::NodeContext& ctx, std::uint64_t mid, NodeId 
   const auto it = migrations_.find(mid);
   if (it == migrations_.end() || it->second.committed) return;
   const RangeSpec spec = it->second.spec;  // copy: the filter outlives the map lookup
-  if (group_ != spec.from || !*active_) return;
+  if (group_ != spec.from || !replica_.active()) return;
   // Serve only once every in-flight 2PC share on the range has decided: new
   // prepares vote NO against the freeze, so a clear range stays clear and
   // the streamed state is final. The puller retries until then.
@@ -382,6 +346,7 @@ void RangeMigrator::send_pull(net::NodeContext& ctx, Migration& m) {
   }
   const NodeId target = donors[(start + m.pull_attempts) % donors.size()];
   ++m.pull_attempts;
+  m.fetch.start(ctx.now(), target);
   ctx.send(target, net::make_msg(kMigPullHeader, MigPullBody{m.spec.mid}));
 }
 
@@ -435,18 +400,15 @@ bool RangeMigrator::needs_serial() const {
 }
 
 void RangeMigrator::on_tick(net::NodeContext& ctx) {
-  if (*active_) {
+  if (replica_.active()) {
     for (auto& [mid, m] : migrations_) {
       if (m.committed) continue;
       if (group_ == m.spec.to && !m.buffered) {
-        if (m.receiving && m.frames_seen != m.frames_last_tick) {
-          m.frames_last_tick = m.frames_seen;  // stream making progress
+        // Idle: pull. Stalled for a whole sweep (donor crashed mid-stream,
+        // pull lost): the session re-pulls from the next donor replica.
+        if (m.fetch.fetching()) {
+          m.fetch.tick(ctx, kMigTickPeriod);
         } else {
-          // Idle or stalled (donor crashed mid-stream, pull lost): re-pull
-          // from the next donor replica.
-          m.receiving = false;
-          m.batches.clear();
-          m.frames_last_tick = 0;
           send_pull(ctx, m);
         }
       }
@@ -487,13 +449,10 @@ void RangeMigrator::restore(net::NodeContext& ctx, const MigSnapBody& body) {
   migrations_.clear();
   committed_flips_.clear();  // see the member comment: forward-everything is safe
   for (const auto& e : body.inflight) {
-    Migration m;
-    m.spec = e.spec;
+    Migration& m = add_migration(e.spec);
     m.ready.insert(e.ready.begin(), e.ready.end());
     m.buffered = e.buffered != 0;
     m.batches = e.batches;
-    const std::uint64_t mid = e.spec.mid;
-    migrations_.emplace(mid, std::move(m));
   }
   // A promoted spare / rejoined replica completes the handshake itself: it
   // announces a complete inherited buffer (the donor's ready set may not

@@ -13,18 +13,20 @@
 //   stream   each replica of `to` pulls the frozen range from any replica of
 //            `from` (they all hold the identical frozen state — no donor
 //            takeover protocol is needed when the donor dies) as a filtered
-//            state-transfer stream (repl/state_transfer.hpp), and buffers
-//            the row batches without applying them;
+//            state-transfer stream, received by a buffering
+//            repl::FetchSession that keeps the row batches without applying
+//            them and re-pulls from the next donor when the stream breaks or
+//            falls silent;
 //   ready    a `to` replica whose buffer is complete broadcasts `::mig-
 //            ready` into its OWN group's log; a replica broadcasts `::mig-
 //            commit` into every group's log once the delivered ready set
-//            covers every member its heartbeat view calls live, OR covers a
-//            majority of the membership (re-checked on reconfigurations and
-//            every tick). The laggards a majority commit leaves behind —
-//            crashed members, or live ones whose delivery stream stalled —
-//            cannot apply the flip from their own buffer, so they recover
-//            through a full rejoin resync (below) instead of blocking the
-//            commit forever;
+//            covers every member the replica's HeartbeatDetector calls live,
+//            OR covers a majority of the membership (re-checked on
+//            reconfigurations and every tick). The laggards a majority
+//            commit leaves behind — crashed members, or live ones whose
+//            delivery stream stalled — cannot apply the flip from their own
+//            buffer, so they recover through a full resync (below) instead of
+//            blocking the commit forever;
 //   commit   at its own `::mig-commit` delivery each group atomically flips
 //            routing by installing a RangeOverride in its RoutingView: the
 //            `from` group first deletes its (still pre-override-owned) rows
@@ -53,13 +55,17 @@
 #include <utility>
 #include <vector>
 
+#include "core/client_ids.hpp"
 #include "core/replica_common.hpp"
 #include "core/router.hpp"
 #include "core/twopc.hpp"
 #include "db/wire.hpp"
 #include "net/transport.hpp"
+#include "repl/state_transfer.hpp"
 
 namespace shadow::core {
+
+class SmrReplica;  // core/smr.hpp
 
 inline constexpr const char* kMigSplitProc = "::mig-split";
 inline constexpr const char* kMigReadyProc = "::mig-ready";
@@ -76,13 +82,6 @@ inline constexpr const char* kMigSnapDoneHeader = "mig-snap-done";
 /// rider: XsCoordinator::restore recomputes key ownership through the
 /// RoutingView, which this rider's overrides must have rebuilt first.
 inline constexpr const char* kMigSnapRiderHeader = "smr-snap-mig";
-
-/// Synthetic client-id spaces (all above kControlClientBit, so the pipelined
-/// delivery path flushes for them; see the 2PC spaces in core/twopc.hpp).
-inline constexpr std::uint32_t kMigAdminClientBit = 0x44000000u;   // admin → all TOBs
-inline constexpr std::uint32_t kMigCommitClientBit = 0x45000000u;  // to-replicas → all TOBs
-inline constexpr std::uint32_t kMigReadyClientBit = 0x46000000u;   // to-replica → own TOB
-inline constexpr std::uint32_t kMigIdMask = 0x000FFFFFu;
 
 /// One range migration's immutable parameters.
 struct RangeSpec {
@@ -125,6 +124,17 @@ struct MigSnapBody {
 /// like the 2PC engine, state is a pure function of the group's delivery
 /// order (plus the pull buffer, which only ever feeds a delivery-ordered
 /// commit).
+///
+/// Liveness comes from the owning replica's HeartbeatDetector: ready
+/// coverage counts only members it calls live. A crashed member can stay in
+/// the group forever — replacement needs a free spare AND the one-shot
+/// reconfig proposal surviving the wire — and a commit must not wait for a
+/// ready broadcast that will never come. A replica that delivers a
+/// `::mig-commit` it has no buffer for (its group committed without it: dead
+/// by heartbeat, or alive with a stalled delivery stream) cannot pull any
+/// more, since the donor's copy of the range is gone; it resyncs through
+/// SmrReplica::resync, a rejoin served by a live peer whose snapshot rider
+/// carries the post-commit rows and the override.
 class RangeMigrator {
  public:
   struct Config {
@@ -135,28 +145,10 @@ class RangeMigrator {
     /// read for a stream (the engine belongs to the executor thread until
     /// the pipeline is quiescent).
     std::function<void()> flush;
-    /// Ready coverage counts only members this predicate calls live (the
-    /// owning replica's heartbeat view). A crashed member can stay in the
-    /// group forever — replacement needs a free spare AND the one-shot
-    /// reconfig proposal surviving the wire — and a commit must not wait for
-    /// a ready broadcast that will never come. A replica wrongly called dead
-    /// here re-syncs through the rejoin snapshot (whose rider carries the
-    /// override), the same recovery as any other missed suffix. Unset: every
-    /// member counts.
-    std::function<bool(NodeId)> peer_live;
-    /// Full self-resync (SmrReplica::start_rejoin): invoked when this
-    /// replica delivers a `::mig-commit` it has no buffer for — its group
-    /// committed without it (dead by heartbeat, or alive with a stalled
-    /// delivery stream), and the donor's copy of the range is already gone,
-    /// so a fresh snapshot from a peer is the only consistent way forward.
-    /// Unset: the commit half-applies and "mig.buffer_miss" records the
-    /// divergence.
-    std::function<void()> resync;
   };
 
-  RangeMigrator(net::Transport& world, NodeId self, GroupId group, RoutingView& view,
-                TxnExecutor& executor, XsCoordinator* xs,
-                const std::vector<NodeId>* group_members, const bool* active, Config cfg);
+  RangeMigrator(net::Transport& world, SmrReplica& replica, GroupId group, RoutingView& view,
+                TxnExecutor& executor, XsCoordinator* xs, Config cfg);
 
   /// Delivery interception for the `::mig-*` control commands. Returns true
   /// if consumed.
@@ -202,16 +194,17 @@ class RangeMigrator {
     RangeSpec spec;
     std::set<std::uint32_t> ready;
     bool committed = false;
-    // Receiver (to-group) pull/buffer state.
-    bool receiving = false;
+    // Receiver (to-group) pull/buffer state: the session buffers a stream's
+    // batches, which move to `batches` once it completes.
+    repl::FetchSession fetch;
     bool buffered = false;
-    std::uint64_t frames_seen = 0;
-    std::uint64_t frames_last_tick = 0;
     std::uint32_t pull_attempts = 0;
     std::uint32_t commit_resends = 0;
     std::vector<db::Engine::SnapshotBatch> batches;
   };
 
+  /// Records a migration and mounts its fetch session (tagged by its id).
+  Migration& add_migration(const RangeSpec& spec);
   void handle_split(net::NodeContext& ctx, const workload::TxnRequest& req);
   void handle_ready(net::NodeContext& ctx, const workload::TxnRequest& req);
   void handle_commit(net::NodeContext& ctx, const workload::TxnRequest& req);
@@ -226,13 +219,12 @@ class RangeMigrator {
   void count(const char* metric, std::uint64_t n = 1) const;
 
   net::Transport& world_;
+  SmrReplica& replica_;  // owner: membership, active flag, liveness, resync
   NodeId self_;
   GroupId group_;
   RoutingView& view_;
   TxnExecutor& executor_;
   XsCoordinator* xs_;
-  const std::vector<NodeId>* group_members_;  // owning replica's current group
-  const bool* active_;                        // owning replica's active flag
   Config cfg_;
 
   std::map<std::uint64_t, Migration> migrations_;

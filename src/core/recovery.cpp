@@ -23,14 +23,35 @@ RecoveryCore::RecoveryCore(net::Transport& world, NodeId self, tob::TobNode& tob
       config_(config),
       hooks_(std::move(hooks)),
       members_(std::move(members)),
-      spares_(std::move(spares)) {
+      spares_(std::move(spares)),
+      fetch_({.headers = snapshot_stream_headers(),
+              .engine = &executor.engine(),
+              .receiver = {config.tracer, self}},
+             {.begin =
+                  [this](net::NodeContext&, const repl::SnapBegin2Body& begin) {
+                    if (begin.config != config_seq_) return false;
+                    install_snapshot_dedup(executor_, begin);
+                    return true;
+                  },
+              .done =
+                  [this](net::NodeContext& ctx, const repl::SnapDone2Body&, NodeId from,
+                         std::uint64_t order) {
+                    executed_order_ = order;
+                    next_order_ = std::max(next_order_, executed_order_);
+                    if (config_.tracer) {
+                      config_.tracer->state_transfer(ctx.now(), self_, obs::StatePhase::kDone,
+                                                     0, from);
+                    }
+                    finish_recovery(ctx, from);
+                  },
+              .refetch = [this](net::NodeContext& ctx, NodeId from) { refetch_state(ctx, from); }}),
+      hb_(self, kReplHbHeader, config.suspect_timeout) {
   SHADOW_REQUIRE(!members_.empty());
   SHADOW_REQUIRE_MSG(world.host_of(self_) == world.host_of(tob_.node()),
                      "replicas are co-located with their broadcast service node");
   leader_ = members_[0];
   group_size_target_ = members_.size();
   reconfig_client_id_ = ClientId{kReplReconfigClientBase + self_.value};
-  snap_rx_ = repl::StateTransfer::Receiver({config_.tracer, self_});
   if (!contains(members_, self_)) state_ = State::kSpare;
   for (NodeId member : members_) {
     if (member != self_) recovered_.insert(member.value);
@@ -51,45 +72,21 @@ bool RecoveryCore::is_member(NodeId node) const { return contains(members_, node
 
 bool RecoveryCore::on_message(net::NodeContext& ctx, const net::Message& msg) {
   // Any traffic from a configuration member counts as a liveness signal.
-  last_heard_[msg.from.value] = ctx.now();
+  hb_.heard(msg.from, ctx.now());
 
+  if (fetch_.on_message(ctx, msg)) return true;
   if (msg.header == kReplDeliverHeader) {
     on_deliver(ctx, net::msg_body<tob::Command>(msg));
   } else if (msg.header == kReplElectHeader) {
     on_elect(ctx, msg.from, net::msg_body<ReplElectBody>(msg));
   } else if (msg.header == kReplHbHeader) {
-    // The blanket last_heard_ update above is all a heartbeat does.
+    // The blanket liveness update above is all a heartbeat does.
   } else if (msg.header == kReplCatchupHeader) {
     const auto& body = net::msg_body<ReplCatchupBody>(msg);
     if (body.config != config_seq_) return true;
     for (const auto& [order, req] : body.txns) {
       if (order != executed_order_ + 1) continue;  // already have it
       execute_and_cache(ctx, order, req, /*answer_client=*/false);
-    }
-    finish_recovery(ctx, msg.from);
-  } else if (msg.header == kSnapBegin2Header) {
-    const auto& body = net::msg_body<repl::SnapBegin2Body>(msg);
-    if (body.config != config_seq_) return true;
-    last_stream_frame_ = ctx.now();
-    snap_rx_.begin_v2(executor_.engine(), body);
-    install_snapshot_dedup(executor_, body);
-  } else if (msg.header == kSnapBatch2Header) {
-    const auto& body = net::msg_body<repl::SnapBatch2Body>(msg);
-    last_stream_frame_ = ctx.now();
-    if (!snap_rx_.on_batch2(ctx, executor_.engine(), body, msg.from)) snap_rx_.reset();
-  } else if (msg.header == kSnapDone2Header) {
-    const auto& done = net::msg_body<repl::SnapDone2Body>(msg);
-    if (done.config != config_seq_ || state_ == State::kNormal) return true;
-    if (!snap_rx_.awaiting() || !snap_rx_.complete(done)) {
-      // A stream with a lost or malformed frame is never installed. Presenting
-      // our position again makes the winner send a fresh one.
-      refetch_state(ctx, msg.from);
-      return true;
-    }
-    executed_order_ = snap_rx_.finish(executor_.engine());
-    next_order_ = std::max(next_order_, executed_order_);
-    if (config_.tracer) {
-      config_.tracer->state_transfer(ctx.now(), self_, obs::StatePhase::kDone, 0, msg.from);
     }
     finish_recovery(ctx, msg.from);
   } else if (msg.header == kReplRecoveredHeader) {
@@ -106,6 +103,7 @@ bool RecoveryCore::on_message(net::NodeContext& ctx, const net::Message& msg) {
 }
 
 void RecoveryCore::finish_recovery(net::NodeContext& ctx, NodeId winner) {
+  fetch_.stop();
   state_ = State::kNormal;
   if (config_.tracer) config_.tracer->recover(ctx.now(), self_, executed_order_);
   ctx.send(winner, net::make_msg(kReplRecoveredHeader, ReplAckBody{config_seq_, executed_order_}));
@@ -170,7 +168,7 @@ void RecoveryCore::on_deliver(net::NodeContext& ctx, const tob::Command& cmd) {
   config_seq_ = g + 1;
   members_ = new_members;
   recovered_.clear();
-  snap_rx_.reset();
+  fetch_.stop();
   leader_ = NodeId{UINT32_MAX};
   hooks_.reset();
 
@@ -180,7 +178,9 @@ void RecoveryCore::on_deliver(net::NodeContext& ctx, const tob::Command& cmd) {
   }
   state_ = State::kElecting;
   const net::Time now = ctx.now();
-  for (NodeId member : members_) last_heard_[member.value] = now;
+  for (NodeId member : members_) hb_.heard(member, now);
+  // The winner may stream before our own election completes.
+  fetch_.start(now, leader_);
 
   // Step 3: send (g+1, seq_r) to all members of the new configuration.
   const net::Message elect =
@@ -227,15 +227,18 @@ void RecoveryCore::maybe_finish_election(net::NodeContext& ctx) {
     // then we are recovering (we might already be fully up to date — then we
     // acknowledge right away).
     state_ = executed_order_ == best ? State::kNormal : State::kRecovering;
-    last_stream_frame_ = ctx.now();
     if (state_ == State::kNormal) {
+      fetch_.stop();
       ctx.send(leader_,
                net::make_msg(kReplRecoveredHeader, ReplAckBody{config_seq_, executed_order_}));
+    } else {
+      fetch_.start(ctx.now(), leader_);
     }
     return;
   }
 
   // We won: bring every other member up to date.
+  fetch_.stop();
   state_ = State::kNormal;
   next_order_ = executed_order_;
   for (NodeId member : members_) {
@@ -279,36 +282,18 @@ void RecoveryCore::send_state_to(net::NodeContext& ctx, NodeId member, std::uint
 }
 
 void RecoveryCore::refetch_state(net::NodeContext& ctx, NodeId sender) {
-  snap_rx_.reset();
-  last_stream_frame_ = ctx.now();
   ctx.send(sender, net::make_msg(kReplElectHeader, ReplElectBody{config_seq_, executed_order_}));
 }
 
 // ------------------------------------------------------- failure detection --
 
 void RecoveryCore::on_heartbeat_tick(net::NodeContext& ctx) {
-  if (state_ == State::kRecovering &&
-      ctx.now() - last_stream_frame_ >= config_.suspect_timeout) {
-    // No catch-up or stream frame for a whole suspicion interval: the
-    // transfer was lost (a done frame, say). Ask the winner again.
-    refetch_state(ctx, leader_);
-  }
+  // No catch-up or stream frame for a whole suspicion interval: the transfer
+  // was lost (a done frame, say). Ask the winner again.
+  if (state_ == State::kRecovering) fetch_.tick(ctx, config_.suspect_timeout);
   if (state_ == State::kNormal || state_ == State::kElecting ||
       state_ == State::kRecovering) {
-    for (NodeId member : members_) {
-      if (member != self_) ctx.send(member, net::make_signal(kReplHbHeader));
-    }
-    const net::Time now = ctx.now();
-    std::vector<NodeId> suspects;
-    for (NodeId member : members_) {
-      if (member == self_) continue;
-      auto [it, first] = last_heard_.try_emplace(member.value, now);
-      (void)first;
-      if (now - it->second >= config_.suspect_timeout) {
-        const std::uint64_t key = (config_seq_ << 32) | member.value;
-        if (proposed_.insert(key).second) suspects.push_back(member);
-      }
-    }
+    const std::vector<NodeId> suspects = hb_.tick(ctx, members_, config_seq_);
     if (!suspects.empty()) suspect_and_propose(ctx, suspects);
   }
   ctx.set_timer(config_.hb_period, [this](net::NodeContext& c) { on_heartbeat_tick(c); });

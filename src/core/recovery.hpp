@@ -33,6 +33,8 @@
 #include <set>
 #include <vector>
 
+#include "core/client_ids.hpp"
+#include "core/heartbeat.hpp"
 #include "core/replica_common.hpp"
 #include "repl/state_transfer.hpp"
 #include "tob/tob.hpp"
@@ -47,8 +49,6 @@ inline constexpr const char* kReplCatchupHeader = "repl-catchup";
 inline constexpr const char* kReplRecoveredHeader = "repl-recovered";
 inline constexpr const char* kReplHbHeader = "repl-hb";
 inline constexpr const char* kReplDeliverHeader = "repl-deliver";
-/// Reconfiguration proposals go out under client id base + node id.
-inline constexpr std::uint32_t kReplReconfigClientBase = 0x50000000u;
 
 /// Election round: (configuration, highest executed order).
 struct ReplElectBody {
@@ -133,7 +133,7 @@ class RecoveryCore {
   void on_elect(net::NodeContext& ctx, NodeId from, const ReplElectBody& elect);
   void maybe_finish_election(net::NodeContext& ctx);
   void send_state_to(net::NodeContext& ctx, NodeId member, std::uint64_t member_seq);
-  /// Recovering member: drops any partial stream and presents its position
+  /// Recovering member (the fetch session's refetch): presents its position
   /// to `sender` again, which answers with a fresh catch-up or snapshot.
   void refetch_state(net::NodeContext& ctx, NodeId sender);
   /// Step 6 at a member whose state arrived.
@@ -164,14 +164,12 @@ class RecoveryCore {
   std::map<ConfigSeq, std::map<std::uint32_t, std::uint64_t>> pending_elects_;
   std::set<std::uint32_t> recovered_;
 
-  // Receiver side. The inbound snapshot stream (awaiting flag, pending
-  // order) lives in the shared state-transfer receiver.
-  repl::StateTransfer::Receiver snap_rx_;
-  net::Time last_stream_frame_ = 0;  // recovering: last sign of the transfer
+  // Receiver side: armed from a configuration's adoption until this member
+  // is up to date.
+  repl::FetchSession fetch_;
 
-  // Failure detection.
-  std::map<std::uint32_t, net::Time> last_heard_;
-  std::set<std::uint64_t> proposed_;  // (config, suspect) pairs already proposed
+  // Failure detection: any message from a member is a liveness signal.
+  HeartbeatDetector hb_;
   ClientId reconfig_client_id_;
   RequestSeq reconfig_seq_ = 0;
 };

@@ -57,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/client_ids.hpp"
 #include "core/replica_common.hpp"
 #include "core/router.hpp"
 #include "net/transport.hpp"
@@ -74,12 +75,6 @@ inline constexpr const char* kRoSnapHeader = "ro-snap";
 inline constexpr const char* kRoSnapRespHeader = "ro-snap-resp";
 inline constexpr const char* kRoReadHeader = "ro-read";
 inline constexpr const char* kRoReadRespHeader = "ro-read-resp";
-
-/// Wire marker for read-only transactions, next to kXsBeginBit &c. (all
-/// above kControlClientBit). RO requests are node-addressed — they never
-/// enter a TOB log — but the marker keeps the client-id spaces disjoint and
-/// lets traces/metrics classify RO traffic without payload inspection.
-inline constexpr std::uint32_t kRoBeginBit = 0x58000000u;
 
 /// A read forwarded donor → owner → ... across committed migrations gives up
 /// after this many hops and answers "ro-moved" (the client restarts).

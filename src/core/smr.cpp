@@ -16,6 +16,11 @@ namespace {
 using SnapDoneBody = repl::SnapDone2Body;
 
 constexpr const char* kHbHeader = "smr-hb";
+/// Rejoin retry interval: the first request goes out after a short grace
+/// period (the transport may still be connecting to peers), later ones when
+/// the stream falls silent this long.
+constexpr net::Time kRejoinGrace = 100000;
+constexpr net::Time kRejoinRetry = 500000;
 
 bool contains(const std::vector<NodeId>& v, NodeId n) {
   return std::find(v.begin(), v.end(), n) != v.end();
@@ -27,18 +32,61 @@ SmrReplica::SmrReplica(net::Transport& world, NodeId self, tob::TobNode& tob,
                        std::shared_ptr<db::Engine> engine,
                        std::shared_ptr<const workload::ProcedureRegistry> registry,
                        std::vector<NodeId> replica_group, std::vector<NodeId> spares,
-                       SmrConfig config, ServerCosts costs)
+                       std::vector<NodeId> group_tobs, SmrConfig config, ServerCosts costs)
     : world_(world),
       self_(self),
       tob_(tob),
       executor_(std::move(engine), std::move(registry), costs),
       config_(config),
       group_(std::move(replica_group)),
-      spares_(std::move(spares)) {
+      spares_(std::move(spares)),
+      group_tobs_(std::move(group_tobs)),
+      hb_(self, kHbHeader, config.suspect_timeout) {
   SHADOW_REQUIRE_MSG(world_.host_of(self_) == world_.host_of(tob_.node()),
                      "SMR replicas must be co-located with their broadcast service node");
   reconfig_client_id_ = ClientId{kControlClientBit + self_.value};
-  snap_rx_ = repl::StateTransfer::Receiver({config_.tracer, self_});
+
+  // Promotion and rejoin streams, with the sharded riders: migration state
+  // first (the 2PC restore recomputes ownership through the view it rebuilds).
+  repl::FetchSession::Mount mount;
+  mount.headers = snapshot_stream_headers();
+  mount.riders = {kMigSnapRiderHeader, kXsSnapHeader};
+  mount.engine = &executor_.engine();
+  mount.receiver = {config_.tracer, self_};
+  repl::FetchSession::Hooks fetch_hooks;
+  fetch_hooks.begin = [this](net::NodeContext&, const repl::SnapBegin2Body& begin) {
+    if (rejoining_) {
+      // Rejoin keeps the dedup seqs around as the TOB resume floor too.
+      rejoin_floor_ = begin.dedup_seqs;
+      if (begin.mode == static_cast<std::uint8_t>(repl::TransferMode::kFull)) {
+        // The reset wipes the state our delta baseline referred to; a retry
+        // after a broken stream must fetch a full copy.
+        rejoin_base_version_ = 0;
+      }
+    }
+    install_snapshot_dedup(executor_, begin);
+    return true;
+  };
+  fetch_hooks.rider = [this](net::NodeContext& ctx, const net::Message& msg) {
+    if (msg.header == kXsSnapHeader) {
+      if (xs_) xs_->restore(net::msg_body<XsSnapBody>(msg));
+    } else if (mig_) {
+      mig_->restore(ctx, net::msg_body<MigSnapBody>(msg));
+    }
+  };
+  fetch_hooks.done = [this](net::NodeContext& ctx, const repl::SnapDone2Body& done, NodeId from,
+                            std::uint64_t) { finish_join(ctx, done, from); };
+  // A rejoin asks afresh (rotating its server); a promoted spare asks the
+  // proposer again. A redundant stream is harmless: one arriving after the
+  // join completed is ignored.
+  fetch_hooks.refetch = [this](net::NodeContext& ctx, NodeId from) {
+    if (rejoining_) {
+      send_rejoin_request(ctx);
+    } else {
+      ctx.send(from, net::make_signal(kSnapRequestHeader));
+    }
+  };
+  fetch_ = repl::FetchSession(std::move(mount), std::move(fetch_hooks));
 
   // The broadcast service hands deliveries to the co-located replica through
   // an in-process queue: model it as a loopback message so that (a) the
@@ -91,40 +139,8 @@ SmrReplica::SmrReplica(net::Transport& world, NodeId self, tob::TobNode& tob,
     mcfg.flush = [this] {
       if (pipeline_) pipeline_->flush();
     };
-    // Same evidence the failure detector acts on: a peer nothing was heard
-    // from for a suspect timeout is dead for ready-coverage purposes. A peer
-    // never seen yet (no heartbeat tick ran) counts as live — coverage
-    // waits, it never skips early.
-    mcfg.peer_live = [this](NodeId peer) {
-      if (peer == self_) return true;
-      const auto it = last_heard_.find(peer.value);
-      return it == last_heard_.end() || world_.now() - it->second < config_.suspect_timeout;
-    };
-    // Laggard recovery: the group committed a migration this replica never
-    // buffered (its delivery stream stalled, or the heartbeat view wrote it
-    // off). The donor already dropped the range, so the only consistent
-    // continuation is a full rejoin from a live peer — the snapshot's rider
-    // carries the post-commit rows and the routing override. Seq is the
-    // current virtual millisecond: unique across this node's resyncs and
-    // disjoint from restart incarnation counters.
-    mcfg.resync = [this] {
-      if (joining_ || rejoining_ || !active_) return;
-      NodeId proposer{};
-      bool found = false;
-      for (const NodeId peer : group_) {
-        if (peer == self_) continue;
-        const auto it = last_heard_.find(peer.value);
-        if (it == last_heard_.end() || world_.now() - it->second < config_.suspect_timeout) {
-          proposer = peer;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return;  // nobody live to serve a snapshot: stay as we are
-      start_rejoin(tob_.node(), proposer, static_cast<RequestSeq>(world_.now() / 1000));
-    };
-    mig_ = std::make_unique<RangeMigrator>(world_, self_, config_.group, *view_, executor_,
-                                           xs_.get(), &group_, &active_, std::move(mcfg));
+    mig_ = std::make_unique<RangeMigrator>(world_, *this, config_.group, *view_, executor_,
+                                           xs_.get(), std::move(mcfg));
     xs_->set_range_block(
         [this](const std::string& table, const std::vector<std::int64_t>& keys) {
           return mig_->frozen(table, keys);
@@ -164,7 +180,10 @@ void SmrReplica::on_deliver(net::NodeContext& ctx, Slot slot, std::uint64_t inde
     return;
   }
   if (!active_) {
-    if (joining_) buffered_.emplace_back(index, req);
+    // A promoted spare applies what it buffered on top of its snapshot. A
+    // rejoiner drops these: they precede its rejoin command, so its snapshot
+    // already covers them, and its TOB node redelivers everything after.
+    if (joining_ && !rejoining_) buffered_.emplace_back(index, req);
     return;
   }
   apply_delivered(ctx, index, req);
@@ -249,9 +268,8 @@ void SmrReplica::handle_reconfig(net::NodeContext& ctx, const workload::TxnReque
     // We are the replacement: fetch the snapshot from the proposer and
     // buffer every delivery past this reconfiguration point.
     joining_ = true;
-    join_proposer_ = proposer;
-    join_progress_ = true;  // the first heartbeat interval is grace
     buffered_.clear();
+    fetch_.start(ctx.now(), proposer);
     ctx.send(proposer, net::make_signal(kSnapRequestHeader));
   }
   // The membership just changed under any in-flight migration: its ready
@@ -321,40 +339,66 @@ void SmrReplica::start_rejoin(NodeId via_tob, NodeId proposer, RequestSeq seq) {
   buffered_.clear();
   rejoin_via_ = via_tob;
   rejoin_proposer_ = proposer;
-  rejoin_client_id_ = ClientId{kRejoinClientBit + self_.value};
   rejoin_seq_ = seq;
+  rejoin_attempts_ = 0;
   // Offer the engine's version as a delta baseline: nonzero when this
   // replica object survived the crash with its state intact (simulator
   // crash-restart); 0 after a real process restart, which gets a full copy.
   rejoin_base_version_ = executor_.engine().state_version();
-  rejoin_requested_ = false;
-  snap_rx_.reset();
+  fetch_.stop();
   // Hold TOB delivery/proposing until the snapshot tells us where to resume.
   tob_.pause_for_rejoin();
-  // First request after a short grace period (the transport may still be
-  // connecting to peers); retried until the snapshot stream answers.
   rejoin_timer_ = world_.schedule_timer_for_node(
-      self_, world_.now() + 100000, [this](net::NodeContext& ctx) { send_rejoin_request(ctx); });
+      self_, world_.now() + kRejoinGrace, [this](net::NodeContext& ctx) { rejoin_tick(ctx); });
+}
+
+void SmrReplica::resync() {
+  if (joining_ || !active_) return;
+  // Served by the first live peer (a rejoin names no server of its own).
+  // Seq is the current virtual millisecond: unique across this node's
+  // resyncs and disjoint from restart incarnation counters.
+  start_rejoin(tob_.node(), self_, static_cast<RequestSeq>(world_.now() / 1000));
+  // Our engine skipped the effects of the delivery that triggered this
+  // resync, so its version is no base for a delta: fetch a full copy.
+  rejoin_base_version_ = 0;
+}
+
+void SmrReplica::rejoin_tick(net::NodeContext& ctx) {
+  if (!rejoining_) return;
+  if (rejoin_attempts_ == 0) {
+    send_rejoin_request(ctx);
+  } else {
+    fetch_.tick(ctx, kRejoinRetry);
+  }
+  rejoin_timer_ = ctx.set_timer(kRejoinRetry, [this](net::NodeContext& c) { rejoin_tick(c); });
 }
 
 void SmrReplica::send_rejoin_request(net::NodeContext& ctx) {
-  if (!rejoining_) return;
-  if (rejoin_requested_) {
-    // The previous request produced no completed stream by the time this
-    // retry fires. Either it was never delivered (transport still
-    // connecting) or it WAS delivered and the stream broke mid-air (sender
-    // crash, frames lost to checksum corruption) — and in the second case a
-    // same-(client, seq) retry is deduplicated by TOB and serves nothing,
-    // stalling the rejoin forever. The joiner cannot tell the cases apart,
-    // so every retry takes a fresh seq; redundant streams are harmless (a
-    // begin while joining restarts the restore, one arriving after the join
-    // completed is ignored).
-    ++rejoin_seq_;
-    snap_rx_.reset();
+  // A retry means no complete stream answered the previous request. Either
+  // it was never delivered (transport still connecting, a dead TOB
+  // frontend), its server is dead, or the stream broke mid-air (sender
+  // crash, frames lost to checksum corruption) — and then a same-(client,
+  // seq) retry is deduplicated by TOB and serves nothing. The joiner cannot
+  // tell these apart, so every retry takes a fresh seq and the next live
+  // group member as server, broadcasting through that member's TOB node.
+  if (rejoin_attempts_++ > 0) ++rejoin_seq_;
+  if (rejoin_attempts_ > 1 || rejoin_proposer_ == self_) {
+    const auto at = static_cast<std::size_t>(
+        std::find(group_.begin(), group_.end(), rejoin_proposer_) - group_.begin());
+    for (std::size_t i = 1; i <= group_.size(); ++i) {
+      const NodeId peer = group_[(at + i) % group_.size()];
+      if (peer != self_ && hb_.live(peer, ctx.now())) {
+        rejoin_proposer_ = peer;
+        rejoin_via_ = tob_of(peer);
+        break;
+      }
+    }
   }
-  rejoin_requested_ = true;
+  // Our own TOB node is paused: it would hold the request unproposed.
+  if (rejoin_via_ == tob_.node()) rejoin_via_ = tob_of(rejoin_proposer_);
+  fetch_.start(ctx.now(), rejoin_proposer_);
   workload::TxnRequest req;
-  req.client = rejoin_client_id_;
+  req.client = ClientId{kRejoinClientBit + self_.value};
   req.seq = rejoin_seq_;
   req.reply_to = self_;
   req.proc = kSmrRejoinProc;
@@ -363,7 +407,14 @@ void SmrReplica::send_rejoin_request(net::NodeContext& ctx) {
                 db::Value(static_cast<std::int64_t>(rejoin_base_version_))};
   tob::BroadcastBody body{tob::Command{req.client, req.seq, workload::encode_request(req)}};
   ctx.send(rejoin_via_, net::make_msg(tob::kBroadcastHeader, std::move(body)));
-  rejoin_timer_ = ctx.set_timer(500000, [this](net::NodeContext& c) { send_rejoin_request(c); });
+}
+
+NodeId SmrReplica::tob_of(NodeId replica) const {
+  for (const NodeId tob : group_tobs_) {
+    if (world_.host_of(tob) == world_.host_of(replica)) return tob;
+  }
+  SHADOW_CHECK_MSG(false, "no TOB node shares the replica's machine");
+  return tob_.node();
 }
 
 void SmrReplica::on_message(net::NodeContext& ctx, const net::Message& msg) {
@@ -378,7 +429,7 @@ void SmrReplica::on_message(net::NodeContext& ctx, const net::Message& msg) {
     return;
   }
   if (msg.header == kHbHeader) {
-    last_heard_[msg.from.value] = ctx.now();
+    hb_.heard(msg.from, ctx.now());
     return;
   }
   if (msg.header == kSnapRequestHeader) {
@@ -388,68 +439,12 @@ void SmrReplica::on_message(net::NodeContext& ctx, const net::Message& msg) {
     send_snapshot_stream(ctx, msg.from, SnapDoneBody{});
     return;
   }
-  if (msg.header == kXsSnapHeader) {
-    if (joining_ && xs_) xs_->restore(net::msg_body<XsSnapBody>(msg));
-    return;
-  }
-  if (msg.header == kMigSnapRiderHeader) {
-    if (joining_ && mig_) mig_->restore(ctx, net::msg_body<MigSnapBody>(msg));
-    return;
-  }
+  if (fetch_.on_message(ctx, msg)) return;
   if (mig_ && mig_->on_message(ctx, msg)) return;
-  if (ro_ && ro_->on_message(ctx, msg)) return;
-  if (msg.header == kSnapBegin2Header || msg.header == kSnapBatch2Header ||
-      msg.header == kSnapDelete2Header || msg.header == kSnapDone2Header) {
-    join_progress_ = true;
-  }
-  if (msg.header == kSnapBegin2Header) {
-    if (!joining_) return;  // stray/duplicate stream: we are not expecting one
-    const auto& begin = net::msg_body<repl::SnapBegin2Body>(msg);
-    if (rejoining_) {
-      // Rejoin keeps the dedup seqs around as the TOB resume floor too.
-      rejoin_floor_ = begin.dedup_seqs;
-      if (begin.mode == static_cast<std::uint8_t>(repl::TransferMode::kFull)) {
-        // The reset wipes the state our delta baseline referred to; a retry
-        // after a broken stream must fetch a full copy.
-        rejoin_base_version_ = 0;
-      }
-    }
-    snap_rx_.begin_v2(executor_.engine(), begin);
-    install_snapshot_dedup(executor_, begin);
-    return;
-  }
-  if (msg.header == kSnapBatch2Header) {
-    if (!joining_) return;
-    // "Row insertion speed constitutes the bottleneck of state transfer."
-    if (!snap_rx_.on_batch2(ctx, executor_.engine(), net::msg_body<repl::SnapBatch2Body>(msg),
-                            msg.from)) {
-      snap_rx_.reset();  // malformed frame; the rejoin timer re-requests
-    }
-    return;
-  }
-  if (msg.header == kSnapDelete2Header) {
-    if (!joining_) return;
-    snap_rx_.on_delete2(ctx, executor_.engine(), net::msg_body<repl::SnapDelete2Body>(msg));
-    return;
-  }
-  if (msg.header == kSnapDone2Header) {
-    if (!joining_) return;
-    const auto& done = net::msg_body<repl::SnapDone2Body>(msg);
-    if (!snap_rx_.awaiting() || !snap_rx_.complete(done)) {
-      // A frame of the stream was lost (checksum corruption surfaces as
-      // loss): abandon it and fetch a fresh stream — the rejoin timer does
-      // that for a rejoin, a promoted spare asks its proposer again.
-      snap_rx_.reset();
-      if (!rejoining_) ctx.send(join_proposer_, net::make_signal(kSnapRequestHeader));
-      return;
-    }
-    finish_join(ctx, done, msg.from);
-    return;
-  }
+  if (ro_) ro_->on_message(ctx, msg);
 }
 
 void SmrReplica::finish_join(net::NodeContext& ctx, const SnapDoneBody& done, NodeId from) {
-  snap_rx_.finish(executor_.engine());
   if (rejoining_) {
     if (rejoin_timer_) {
       world_.cancel(*rejoin_timer_);
@@ -478,52 +473,29 @@ void SmrReplica::finish_join(net::NodeContext& ctx, const SnapDoneBody& done, No
 }
 
 void SmrReplica::on_heartbeat_tick(net::NodeContext& ctx) {
-  if (joining_ && !rejoining_) {
-    // A promoted spare whose stream went silent for a whole heartbeat
-    // interval (request or epilogue lost) asks its proposer again; a
-    // redundant stream is harmless — one arriving after the join completed
-    // is ignored.
-    if (!join_progress_) ctx.send(join_proposer_, net::make_signal(kSnapRequestHeader));
-    join_progress_ = false;
-  }
+  // A promoted spare whose stream went silent for a whole heartbeat interval
+  // (request or epilogue lost) asks its proposer again.
+  if (joining_ && !rejoining_) fetch_.tick(ctx, config_.hb_period);
   if (active_) {
-    for (NodeId peer : group_) {
-      if (peer != self_) ctx.send(peer, net::make_signal(kHbHeader));
-    }
-    const net::Time now = ctx.now();
-    for (NodeId peer : group_) {
-      if (peer == self_) continue;
-      // First sighting starts the suspicion clock at "now".
-      auto [it, first_sight] = last_heard_.try_emplace(peer.value, now);
-      (void)first_sight;
-      const net::Time heard = it->second;
-      if (now - heard >= config_.suspect_timeout &&
-          proposed_removals_.insert(peer.value).second) {
-        // Propose to replace the suspect with the first spare outside the group.
-        NodeId replacement{};
-        bool found = false;
-        for (NodeId spare : spares_) {
-          if (!contains(group_, spare)) {
-            replacement = spare;
-            found = true;
-            break;
-          }
-        }
-        if (!found) continue;  // no spare available: stay degraded
-        workload::TxnRequest req;
-        req.client = reconfig_client_id_;
-        req.seq = ++reconfig_seq_;
-        req.reply_to = self_;
-        req.proc = kSmrReconfigProc;
-        req.params = {db::Value(static_cast<std::int64_t>(peer.value)),
-                      db::Value(static_cast<std::int64_t>(replacement.value)),
-                      db::Value(static_cast<std::int64_t>(self_.value))};
-        tob::BroadcastBody body{tob::Command{req.client, req.seq, workload::encode_request(req)}};
-        ctx.send(tob_.node(), net::make_msg(tob::kBroadcastHeader, std::move(body)));
-      }
-    }
+    for (const NodeId suspect : hb_.tick(ctx, group_, 0)) propose_replacement(ctx, suspect);
   }
   ctx.set_timer(config_.hb_period, [this](net::NodeContext& c) { on_heartbeat_tick(c); });
+}
+
+void SmrReplica::propose_replacement(net::NodeContext& ctx, NodeId suspect) {
+  const auto spare = std::find_if(spares_.begin(), spares_.end(),
+                                  [this](NodeId s) { return !contains(group_, s); });
+  if (spare == spares_.end()) return;  // no spare available: stay degraded
+  workload::TxnRequest req;
+  req.client = reconfig_client_id_;
+  req.seq = ++reconfig_seq_;
+  req.reply_to = self_;
+  req.proc = kSmrReconfigProc;
+  req.params = {db::Value(static_cast<std::int64_t>(suspect.value)),
+                db::Value(static_cast<std::int64_t>(spare->value)),
+                db::Value(static_cast<std::int64_t>(self_.value))};
+  tob::BroadcastBody body{tob::Command{req.client, req.seq, workload::encode_request(req)}};
+  ctx.send(tob_.node(), net::make_msg(tob::kBroadcastHeader, std::move(body)));
 }
 
 }  // namespace shadow::core

@@ -7,7 +7,10 @@
 // snapshots its database and broadcasts a reconfiguration request (carrying
 // the last ordered sequence number, not the snapshot); the replacement
 // replica fetches the snapshot from the proposer and buffers deliveries that
-// arrive while the transfer is in progress.
+// arrive while the transfer is in progress. Spare promotion, crash-restart
+// rejoin and a migration laggard's resync all receive through one
+// repl::FetchSession, and one HeartbeatDetector is the replica's view of its
+// peers' liveness.
 //
 // Replicas are co-located with the broadcast service processes (same
 // simulated machine), so transaction execution competes with Paxos for CPU —
@@ -16,12 +19,12 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "core/client_ids.hpp"
+#include "core/heartbeat.hpp"
 #include "core/pipeline.hpp"
 #include "core/replica_common.hpp"
 #include "core/router.hpp"
@@ -45,15 +48,9 @@ inline constexpr const char* kSnapRequestHeader = "smr-snap-req";
 inline constexpr const char* kSmrDeliverHeader = "smr-deliver";
 inline constexpr const char* kSmrDeliverBatchHeader = "smr-deliver-batch";
 
-/// Control commands (reconfigurations) are broadcast under synthetic client
-/// ids with this bit set, so the pipelined delivery path can spot them in a
-/// decided batch without decoding any transaction payloads.
-inline constexpr std::uint32_t kControlClientBit = 0x40000000u;
-/// Rejoin requests use their own id space (still above kControlClientBit, so
-/// the pipelined path spots them): kRejoinClientBit + node id, with a
-/// caller-supplied sequence number that must be unique per restart
-/// incarnation (wall-clock µs in the real cluster).
-inline constexpr std::uint32_t kRejoinClientBit = 0x50000000u;
+/// Control commands (reconfigurations, rejoins) are broadcast under the
+/// synthetic client-id spaces of core/client_ids.hpp, all at or above
+/// kControlClientBit.
 
 struct SmrConfig {
   net::Time hb_period = 1000000;        // 1 s heartbeats between replicas
@@ -85,13 +82,15 @@ struct SmrConfig {
 
 /// One SMR database replica. `tob` must be the co-located broadcast-service
 /// node (same machine); the replica subscribes to its local deliveries.
+/// `group_tobs` lists the group's TOB nodes (one per machine): a rejoin
+/// broadcasts through the one co-located with the replica serving it.
 class SmrReplica {
  public:
   SmrReplica(net::Transport& world, NodeId self, tob::TobNode& tob,
              std::shared_ptr<db::Engine> engine,
              std::shared_ptr<const workload::ProcedureRegistry> registry,
              std::vector<NodeId> replica_group, std::vector<NodeId> spares,
-             SmrConfig config = {}, ServerCosts costs = {});
+             std::vector<NodeId> group_tobs, SmrConfig config = {}, ServerCosts costs = {});
   ~SmrReplica();  // out of line: XsCoordinator/RangeMigrator are incomplete here
 
   NodeId node() const { return self_; }
@@ -120,12 +119,24 @@ class SmrReplica {
 
   /// Crash-restart recovery: a freshly restarted process calls this on its
   /// own (reconstructed, empty) replica. The replica pauses its co-located
-  /// TOB node, broadcasts a ::smr-rejoin request through `via_tob` (retrying
-  /// until answered), and on `proposer`'s snapshot stream restores the
-  /// database, resumes the TOB node at the snapshot's slot/index, and goes
-  /// active. `seq` must be unique across this node's restart incarnations
-  /// (the cluster deduplicates rejoin requests by exact (client, seq) key).
+  /// TOB node and broadcasts a ::smr-rejoin request naming `proposer` as the
+  /// serving replica through `via_tob` (a live peer's TOB node — never its
+  /// own, which is paused and would not propose it). While no stream
+  /// arrives, every retry takes a fresh seq and rotates the serving replica
+  /// and its co-located TOB frontend over the group's live members, so a
+  /// dead `proposer` or `via_tob` only costs a retry. On the snapshot stream
+  /// the replica restores the database, resumes the TOB node at the
+  /// snapshot's slot/index, and goes active. `seq` must be unique across
+  /// this node's restart incarnations (the cluster deduplicates rejoin
+  /// requests by exact (client, seq) key).
   void start_rejoin(NodeId via_tob, NodeId proposer, RequestSeq seq);
+
+  /// Full self-resync of an active replica (the migration laggard path,
+  /// core/migrate.hpp): a rejoin served by a live group peer.
+  void resync();
+
+  /// The replica's view of its peers' liveness (SMR heartbeats).
+  const HeartbeatDetector& detector() const { return hb_; }
 
  private:
   void on_deliver(net::NodeContext& ctx, Slot slot, std::uint64_t index,
@@ -134,10 +145,17 @@ class SmrReplica {
                         const consensus::EncodedBatch& batch);
   void on_message(net::NodeContext& ctx, const net::Message& msg);
   void on_heartbeat_tick(net::NodeContext& ctx);
+  /// Proposes replacing `suspect` with the first spare outside the group.
+  void propose_replacement(net::NodeContext& ctx, NodeId suspect);
   void handle_reconfig(net::NodeContext& ctx, const workload::TxnRequest& req);
   void handle_rejoin(net::NodeContext& ctx, const workload::TxnRequest& req, Slot slot,
                      std::uint64_t index);
+  /// Rejoin retry timer: the first request, then a refetch whenever the
+  /// stream falls silent for a retry interval.
+  void rejoin_tick(net::NodeContext& ctx);
   void send_rejoin_request(net::NodeContext& ctx);
+  /// The TOB node co-located with `replica`.
+  NodeId tob_of(NodeId replica) const;
   /// Post-dispatch delivery: through the 2PC engine when armed, else (or for
   /// uninvolved transactions) the normal execution path.
   void apply_delivered(net::NodeContext& ctx, std::uint64_t index,
@@ -148,7 +166,7 @@ class SmrReplica {
   /// still covers, a full copy otherwise.
   void send_snapshot_stream(net::NodeContext& ctx, NodeId to, const repl::SnapDone2Body& done,
                             std::optional<std::uint64_t> delta_since = std::nullopt);
-  /// Epilogue of a complete stream: install, resume, go active.
+  /// Epilogue of a complete (already restored) stream: resume, go active.
   void finish_join(net::NodeContext& ctx, const repl::SnapDone2Body& done, NodeId from);
   /// Stamps the engine's state version for the command at `index`,
   /// monotonically (parked 2PC transactions drain at a later delivery and
@@ -160,21 +178,22 @@ class SmrReplica {
   tob::TobNode& tob_;
   TxnExecutor executor_;
   SmrConfig config_;
-  std::vector<NodeId> group_;    // current active replicas
-  std::vector<NodeId> spares_;   // pre-provisioned replacements
+  std::vector<NodeId> group_;       // current active replicas
+  std::vector<NodeId> spares_;      // pre-provisioned replacements
+  std::vector<NodeId> group_tobs_;  // the group's TOB nodes, one per machine
   bool active_ = true;
   std::uint64_t delivered_index_ = 0;  // last applied global delivery index
 
-  // Failure detection.
-  std::map<std::uint32_t, net::Time> last_heard_;
-  std::set<std::uint32_t> proposed_removals_;
+  // Failure detection: SMR heartbeats are the liveness signal.
+  HeartbeatDetector hb_;
   ClientId reconfig_client_id_;
   RequestSeq reconfig_seq_ = 0;
 
-  // Joining state (replacement replica).
+  // Joining state (promoted spare or rejoiner). The fetch session is armed
+  // while joining; the promotion refetch asks the proposer again, the rejoin
+  // refetch sends a fresh request.
   bool joining_ = false;
-  NodeId join_proposer_{};     // spare promotion: who serves our stream
-  bool join_progress_ = false;  // a stream frame arrived this heartbeat interval
+  repl::FetchSession fetch_;
   std::deque<std::pair<std::uint64_t, workload::TxnRequest>> buffered_;  // (index, request)
 
   // Crash-restart rejoin state (see start_rejoin). `seen_control_keys_` is
@@ -185,16 +204,12 @@ class SmrReplica {
   bool rejoining_ = false;
   NodeId rejoin_via_{};
   NodeId rejoin_proposer_{};
-  ClientId rejoin_client_id_{};
   RequestSeq rejoin_seq_ = 0;
   std::uint64_t rejoin_base_version_ = 0;  // engine version presented for a delta
-  bool rejoin_requested_ = false;          // a request went out for the current seq
+  std::uint32_t rejoin_attempts_ = 0;      // requests sent this rejoin
   std::vector<std::pair<std::uint32_t, RequestSeq>> rejoin_floor_;
   std::optional<net::TimerId> rejoin_timer_;
   std::vector<std::pair<std::uint32_t, RequestSeq>> seen_control_keys_;
-
-  // Inbound snapshot stream state (shared state-transfer receiver).
-  repl::StateTransfer::Receiver snap_rx_;
 
   // Sharded-mode engines, armed only when config_.router names more than
   // one shard. All their state transitions happen on the consensus thread

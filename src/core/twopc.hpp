@@ -33,7 +33,7 @@
 // remote vote in the coordinator log, prepare + decide in the other log.
 //
 // Prepare/vote/decide travel as ordinary TOB commands under synthetic client
-// ids (all above core::kControlClientBit, so the pipelined delivery path
+// ids (core/client_ids.hpp: all above kControlClientBit, so the pipelined delivery path
 // spots them without decoding) and are deduplicated by the normal TOB
 // (client, seq) key — retransmissions are free to be aggressive.
 //
@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "core/client_ids.hpp"
 #include "core/replica_common.hpp"
 #include "core/router.hpp"
 #include "db/lock_manager.hpp"
@@ -66,17 +67,6 @@ inline constexpr const char* kXsDecideProc = "::xs-decide";
 /// batches and the done message, only by sharded deployments).
 inline constexpr const char* kXsSnapHeader = "smr-snap-xs";
 
-/// Synthetic client-id spaces for the 2PC control commands (all above
-/// kControlClientBit = 0x40000000 so the pipelined path flushes for them).
-/// The low 20 bits carry the originating client id — sharded deployments
-/// therefore require real client ids < 2^20. Votes additionally encode the
-/// voting group so R-way fan-in from different groups never collides.
-inline constexpr std::uint32_t kXsBeginBit = 0x60000000u;    // client → coordinator TOB
-inline constexpr std::uint32_t kXsPrepareBit = 0x68000000u;  // coordinator → participant TOBs
-inline constexpr std::uint32_t kXsVoteBit = 0x70000000u;     // participant → coordinator TOB
-inline constexpr std::uint32_t kXsDecideBit = 0x78000000u;   // coordinator → participant TOBs
-inline constexpr std::uint32_t kXsClientMask = 0x000FFFFFu;
-inline constexpr std::uint32_t kXsVoteGroupShift = 20;
 
 /// A participant's local share of a cross-shard transaction: the vote (reads
 /// evaluated against the group's own keys), the writes staged for apply at

@@ -1,5 +1,6 @@
 #include "repl/state_transfer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/message.hpp"
@@ -128,7 +129,9 @@ bool StateTransfer::unwrap_batch(const SnapBatch2Body& body, db::Engine::Snapsho
 
 void StateTransfer::Receiver::begin_v2(db::Engine& engine, const SnapBegin2Body& body) {
   delta_ = body.mode == static_cast<std::uint8_t>(TransferMode::kDelta);
-  if (delta_) {
+  if (cfg_.buffer) {
+    batches_.clear();
+  } else if (delta_) {
     // Advance to the sender's version up front so the upserts about to be
     // applied mark their keys at it — this engine must be able to serve a
     // correct delta of its own later.
@@ -151,12 +154,16 @@ bool StateTransfer::Receiver::on_batch2(net::NodeContext& ctx, db::Engine& engin
   if (!awaiting_) return true;
   db::Engine::SnapshotBatch batch;
   if (!unwrap_batch(body, batch)) return false;
+  ++frames_seen_;
+  if (cfg_.buffer) {
+    batches_.push_back(std::move(batch));
+    return true;
+  }
   if ((body.flags & kBatchCompressed) != 0) {
     ctx.charge(static_cast<net::Time>(kDecompressByteUs * static_cast<double>(batch.data.size())));
   }
   ctx.charge((body.flags & kBatchDeltaUpsert) != 0 ? engine.restore_upsert_batch(batch)
                                                    : engine.restore_batch(batch));
-  ++frames_seen_;
   if (cfg_.tracer) {
     cfg_.tracer->state_transfer(ctx.now(), cfg_.self, obs::StatePhase::kBatch,
                                 body.payload.size(), from);
@@ -167,13 +174,14 @@ bool StateTransfer::Receiver::on_batch2(net::NodeContext& ctx, db::Engine& engin
 void StateTransfer::Receiver::on_delete2(net::NodeContext& ctx, db::Engine& engine,
                                          const SnapDelete2Body& body) {
   if (!awaiting_) return;
-  ctx.charge(engine.apply_deletes(body.table, body.keys));
+  if (!cfg_.buffer) ctx.charge(engine.apply_deletes(body.table, body.keys));
   ++frames_seen_;
 }
 
 std::uint64_t StateTransfer::Receiver::finish(db::Engine& engine) {
   awaiting_ = false;
   frames_seen_ = 0;
+  if (cfg_.buffer) return pending_order_;
   // A full restore never observed history before the sender's version, so
   // neither deltas nor versioned reads can be served from below it; after a
   // delta the existing floor still holds.
@@ -186,6 +194,83 @@ void StateTransfer::Receiver::reset() {
   awaiting_ = false;
   delta_ = false;
   frames_seen_ = 0;
+  batches_.clear();
+}
+
+// ------------------------------------------------------------ fetch session --
+
+FetchSession::FetchSession(Mount mount, Hooks hooks)
+    : mount_(std::move(mount)), hooks_(std::move(hooks)), rx_(mount_.receiver) {}
+
+void FetchSession::start(net::Time now, NodeId from) {
+  fetching_ = true;
+  if (!rx_.awaiting()) source_ = from;
+  last_sign_ = now;
+}
+
+void FetchSession::stop() {
+  fetching_ = false;
+  rx_.reset();
+}
+
+void FetchSession::refetch(net::NodeContext& ctx, NodeId from) {
+  rx_.reset();
+  last_sign_ = ctx.now();
+  hooks_.refetch(ctx, from);
+}
+
+bool FetchSession::on_message(net::NodeContext& ctx, const net::Message& msg) {
+  const StreamHeaders& headers = mount_.headers;
+  // While a stream is in progress, frames from anyone but its sender belong
+  // to a stream this session is not installing (a redundant or stale one).
+  const bool ours = fetching_ && (!rx_.awaiting() || msg.from == source_);
+  if (msg.header == headers.begin) {
+    const auto& begin = net::msg_body<SnapBegin2Body>(msg);
+    if (begin.tag != mount_.tag) return false;
+    if (ours && (!hooks_.begin || hooks_.begin(ctx, begin))) {
+      source_ = msg.from;
+      last_sign_ = ctx.now();
+      rx_.begin_v2(*mount_.engine, begin);
+    }
+  } else if (msg.header == headers.batch) {
+    const auto& batch = net::msg_body<SnapBatch2Body>(msg);
+    if (batch.tag != mount_.tag) return false;
+    if (ours) {
+      last_sign_ = ctx.now();
+      // A malformed frame drops the stream; its `done` asks again.
+      if (!rx_.on_batch2(ctx, *mount_.engine, batch, msg.from)) rx_.reset();
+    }
+  } else if (msg.header == headers.deletes) {
+    const auto& del = net::msg_body<SnapDelete2Body>(msg);
+    if (del.tag != mount_.tag) return false;
+    if (ours) {
+      last_sign_ = ctx.now();
+      rx_.on_delete2(ctx, *mount_.engine, del);
+    }
+  } else if (msg.header == headers.done) {
+    const auto& done = net::msg_body<SnapDone2Body>(msg);
+    if (done.tag != mount_.tag) return false;
+    if (!ours) return true;
+    if (!rx_.awaiting() || !rx_.complete(done)) {
+      // A lost begin, or a lost or malformed frame (checksum corruption
+      // surfaces as loss): never install a hole, fetch a fresh stream.
+      refetch(ctx, msg.from);
+      return true;
+    }
+    fetching_ = false;
+    const std::uint64_t order = rx_.finish(*mount_.engine);
+    hooks_.done(ctx, done, msg.from, order);
+  } else if (std::find(mount_.riders.begin(), mount_.riders.end(), msg.header) !=
+             mount_.riders.end()) {
+    if (ours) hooks_.rider(ctx, msg);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+void FetchSession::tick(net::NodeContext& ctx, net::Time interval) {
+  if (fetching_ && ctx.now() - last_sign_ >= interval) refetch(ctx, source_);
 }
 
 }  // namespace shadow::repl

@@ -14,6 +14,13 @@
 // StreamHeaders set plus begin/done templates and keep their own epilogue
 // logic.
 //
+// Every receiving side mounts one FetchSession. It owns the frame dispatch
+// (by header and stream tag), the frame-count gap check at `done`, the
+// refetch after a silence interval, and the rider frames; the protocol keeps
+// only what it requests, what a prologue installs, and what a complete
+// stream means. A migration's session buffers the row batches instead of
+// applying them.
+//
 // There is one stream format (bodies in repl/wire.hpp). A stream is a full
 // copy or, when the receiver presents a state version the sender's dirty
 // tracking still covers, a delta of only the rows touched since then (plus
@@ -29,6 +36,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "db/engine.hpp"
@@ -105,6 +113,9 @@ class StateTransfer {
     struct Config {
       obs::Tracer* tracer = nullptr;
       NodeId self{0};
+      /// Keep the row batches (take_batches) instead of applying them: the
+      /// engine is never touched, nothing is charged or traced.
+      bool buffer = false;
     };
     explicit Receiver(Config cfg) : cfg_(cfg) {}
     Receiver() = default;
@@ -136,15 +147,76 @@ class StateTransfer {
     void reset();
 
     bool awaiting() const { return awaiting_; }
+    /// Buffering receiver: the batches of the last finished stream.
+    std::vector<db::Engine::SnapshotBatch> take_batches() { return std::move(batches_); }
 
    private:
     Config cfg_;
+    std::vector<db::Engine::SnapshotBatch> batches_;
     bool awaiting_ = false;
     bool delta_ = false;
     std::uint64_t pending_order_ = 0;
     std::uint64_t sender_version_ = 0;
     std::uint64_t frames_seen_ = 0;
   };
+};
+
+/// One inbound fetch: the receiver every protocol mounts. start() arms it
+/// when the owner requests a stream; a complete stream or stop() disarms it.
+/// While armed it accepts a `begin` unless another sender's stream is in
+/// progress, and the rest of a stream from its sender only.
+class FetchSession {
+ public:
+  struct Mount {
+    StreamHeaders headers{};
+    std::uint64_t tag = 0;              // the stream id this session accepts
+    std::vector<std::string> riders{};  // rider headers, handed to Hooks::rider
+    db::Engine* engine = nullptr;       // restored in place (unless buffering)
+    StateTransfer::Receiver::Config receiver{};
+  };
+  struct Hooks {
+    /// A prologue arrived; false refuses its stream (stale configuration).
+    /// Null accepts every prologue.
+    std::function<bool(net::NodeContext&, const SnapBegin2Body&)> begin{};
+    std::function<void(net::NodeContext&, const net::Message&)> rider{};
+    /// The stream arrived whole and is finished (the session disarmed);
+    /// `order` is what its prologue represented.
+    std::function<void(net::NodeContext&, const SnapDone2Body&, NodeId from, std::uint64_t order)>
+        done{};
+    /// Ask for a fresh stream: `from`'s stream was damaged, or the fetch
+    /// fell silent (`from` is then the sender last asked or heard).
+    std::function<void(net::NodeContext&, NodeId from)> refetch{};
+  };
+
+  FetchSession() = default;
+  FetchSession(Mount mount, Hooks hooks);
+
+  /// Arms the session: a request just went to `from`, which restarts the
+  /// silence clock. An in-progress stream is kept.
+  void start(net::Time now, NodeId from);
+  /// Disarms the session and drops any partial stream.
+  void stop();
+  bool fetching() const { return fetching_; }
+
+  /// Consumes this session's stream frames and riders (true); other headers
+  /// and other tags are left to the caller.
+  bool on_message(net::NodeContext& ctx, const net::Message& msg);
+
+  /// From the owner's periodic tick: no sign of the stream for `interval`
+  /// drops any partial stream and refetches.
+  void tick(net::NodeContext& ctx, net::Time interval);
+
+  std::vector<db::Engine::SnapshotBatch> take_batches() { return rx_.take_batches(); }
+
+ private:
+  void refetch(net::NodeContext& ctx, NodeId from);
+
+  Mount mount_;
+  Hooks hooks_;
+  StateTransfer::Receiver rx_;
+  bool fetching_ = false;
+  NodeId source_{};  // the current stream's sender, or who was last asked
+  net::Time last_sign_ = 0;
 };
 
 }  // namespace shadow::repl

@@ -252,7 +252,12 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
     // cannot attribute encodes when several groups share one process.
     config_.tracer->count(encode_metric_);
   }
-  const Slot slot = std::max(next_propose_slot_, next_deliver_slot_);
+  // Never at a slot already decided here: its decision was learned once and
+  // is never announced again, so the proposal would stay outstanding forever
+  // and block this node's proposing. (A node resuming from a rejoin snapshot
+  // holds decisions it learned while paused above its delivery frontier.)
+  Slot slot = std::max(next_propose_slot_, next_deliver_slot_);
+  while (decisions_.count(slot) != 0) ++slot;
   next_propose_slot_ = slot + 1;
   outstanding_[slot] = batch;
   // Proposal processing is charged where the consensus module handles the

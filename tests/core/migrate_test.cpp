@@ -32,13 +32,17 @@ struct MigrateFixture {
   std::vector<std::unique_ptr<DbClient>> clients;
   workload::bank::BankConfig bank{200, 0};
 
-  explicit MigrateFixture(std::uint64_t seed = 1) : world(seed) {
+  explicit MigrateFixture(std::uint64_t seed = 1, std::size_t db_replicas = 2,
+                          std::size_t db_spares = 1)
+      : world(seed) {
     tracer.attach(world);
     auto registry = std::make_shared<workload::ProcedureRegistry>();
     workload::bank::register_procedures(*registry);
     ClusterOptions opts;
     opts.registry = registry;
     opts.tracer = &tracer;
+    opts.db_replicas = db_replicas;
+    opts.db_spares = db_spares;
     opts.loader = [this](db::Engine& e) { workload::bank::load(e, bank); };
     cluster = make_sharded_smr_cluster(world, opts, 2);
   }
@@ -203,6 +207,50 @@ TEST(ShardMigration, DonorKilledMidTransferIsTakenOver) {
 
   EXPECT_GE(fx.metric("mig.commits"), 3u) << "both groups' survivors must commit the flip";
   EXPECT_EQ(fx.metric("mig.buffer_miss"), 0u);
+
+  std::int64_t total = 0;
+  for (std::int64_t k = 0; k < fx.bank.accounts; ++k) total += fx.owned_balance(k);
+  EXPECT_EQ(total, initial_total);
+
+  const obs::CheckResult check = fx.check();
+  EXPECT_TRUE(check.ok()) << check.summary();
+}
+
+TEST(ShardMigration, LeaderHostLaggardResyncsThroughLivePeer) {
+  // Three active replicas per group, so a majority commit can leave one
+  // behind. The to-group replica on the TOB leader's machine never gets its
+  // buffer: every donor replica's stream to it is corrupted on the wire until
+  // the other two commit the flip. It then delivers a `::mig-commit` it has
+  // no buffer for and must resync from a live peer — through that peer's TOB
+  // node, since its own is paused for the rejoin.
+  MigrateFixture fx(7, /*db_replicas=*/3, /*db_spares=*/0);
+  const std::int64_t initial_total = fx.bank.accounts * 1000;
+  DbClient& a = fx.add_transfer_client(200, 301);
+  const NodeId laggard = fx.cluster.groups[1].replica_nodes[0];
+  const std::vector<NodeId> donors = fx.cluster.groups[0].replica_nodes;
+  for (const NodeId donor : donors) fx.world.set_link_fault(donor, laggard, {.corrupt_prob = 1.0});
+  fx.broadcast_split_at(3000000, fx.split_spec());
+  for (auto& c : fx.clients) c->start();
+  net::Time t = 0;
+  while (fx.metric("mig.commits") == 0 && t < 60000000) fx.world.run_until(t += 100000);
+  ASSERT_GT(fx.metric("mig.commits"), 0u) << "the majority never committed";
+  for (const NodeId donor : donors) fx.world.clear_link_fault(donor, laggard);
+  while (!a.done() && t < 300000000) fx.world.run_until(t += 100000);
+  ASSERT_TRUE(a.done());
+  EXPECT_EQ(a.committed(), 200u);
+  // The laggard's TOB node was the leader: once resumed it must propose
+  // again, or every command waits out a relay timeout at some other node.
+  EXPECT_LT(t, 10000000) << "the group crawled after the resync";
+  fx.world.run_until(t + 5000000);
+  EXPECT_GE(fx.metric("mig.buffer_miss"), 1u) << "the laggard must have missed its buffer";
+
+  const ReplicationGroup& to = fx.cluster.groups[1];
+  for (const auto& r : to.replicas) {
+    r->quiesce();
+    EXPECT_TRUE(r->active()) << "replica " << r->node().value << " never resynced";
+    EXPECT_EQ(r->state_digest(), to.replicas[1]->state_digest())
+        << "replica " << r->node().value;
+  }
 
   std::int64_t total = 0;
   for (std::int64_t k = 0; k < fx.bank.accounts; ++k) total += fx.owned_balance(k);

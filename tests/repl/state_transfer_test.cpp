@@ -5,6 +5,7 @@
 // corruption of a compressed snapshot frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -466,6 +467,106 @@ TEST(ReplStateTransfer, UnwrapRejectsMalformedCompressedPayload) {
   EXPECT_FALSE(StateTransfer::unwrap_batch(body, out));
 }
 
+// ------------------------------------------------------------ fetch session --
+
+/// Two senders holding different data and one receiver whose handler feeds a
+/// FetchSession (optionally dropping the first batch it sees).
+struct FetchFixture {
+  sim::World world{3};
+  db::Engine a_db{db::make_h2_traits()};
+  db::Engine b_db{db::make_h2_traits()};
+  db::Engine rx_db{db::make_h2_traits()};
+  NodeId a = world.add_node("a");
+  NodeId b = world.add_node("b");
+  NodeId r = world.add_node("r");
+  FetchSession session;
+  int done_calls = 0;
+  NodeId done_from{};
+  std::vector<NodeId> refetches;
+  std::vector<NodeId> arrivals;  // sender of every stream frame, in order
+  bool drop_first_batch = false;
+
+  FetchFixture() {
+    a_db.create_table(kv_schema());
+    b_db.create_table(kv_schema());
+    a_db.set_state_version(10);
+    b_db.set_state_version(20);
+    for (std::int64_t k = 0; k < 300; ++k) {
+      put(a_db, k, k, "from-a-padding-padding");
+      put(b_db, k, -k, "from-b-padding-padding");
+    }
+    session = FetchSession(
+        {.headers = {"f-begin", "f-batch", "f-done", "f-del"}, .engine = &rx_db,
+         .receiver = {nullptr, r}},
+        {.done = [this](net::NodeContext&, const SnapDone2Body&, NodeId from,
+                        std::uint64_t) {
+           ++done_calls;
+           done_from = from;
+         },
+         .refetch = [this](net::NodeContext&, NodeId from) { refetches.push_back(from); }});
+    world.set_handler(r, [this](net::NodeContext& ctx, const net::Message& m) {
+      if (drop_first_batch && m.header == "f-batch") {
+        drop_first_batch = false;  // simulates a checksum-dropped frame
+        return;
+      }
+      arrivals.push_back(m.from);
+      session.on_message(ctx, m);
+    });
+    for (const auto& [node, db] : {std::pair{a, &a_db}, std::pair{b, &b_db}}) {
+      world.set_handler(node, [this, db](net::NodeContext& ctx, const net::Message&) {
+        StateTransfer::SendV2 spec;
+        spec.headers = {"f-begin", "f-batch", "f-done", "f-del"};
+        spec.batch_bytes = 2048;
+        StateTransfer::send_v2(ctx, *db, r, std::move(spec));
+      });
+    }
+  }
+
+  void request(NodeId from) { world.post(r, from, net::make_signal("go")); }
+};
+
+TEST(ReplFetchSession, RedundantStreamNeverMixesIntoTheOneInProgress) {
+  FetchFixture fx;
+  fx.session.start(fx.world.now(), fx.a);
+  fx.request(fx.a);
+  fx.request(fx.b);  // a redundant request answered by another server
+  fx.world.run_until(10000000);
+  // The two streams really interleaved at the receiver.
+  const auto first_b = std::find(fx.arrivals.begin(), fx.arrivals.end(), fx.b);
+  const auto last_a = std::find(fx.arrivals.rbegin(), fx.arrivals.rend(), fx.a).base();
+  ASSERT_TRUE(first_b < last_a && first_b != fx.arrivals.end());
+  EXPECT_EQ(fx.done_calls, 1);
+  EXPECT_TRUE(fx.refetches.empty()) << "the other stream's done must not refetch";
+  EXPECT_FALSE(fx.session.fetching());
+  const db::Engine& winner = fx.done_from == fx.a ? fx.a_db : fx.b_db;
+  EXPECT_EQ(fx.rx_db.state_digest(), winner.state_digest());
+  EXPECT_EQ(fx.rx_db.state_version(), winner.state_version()) << "another stream's prologue";
+}
+
+TEST(ReplFetchSession, GapRefetchesFromTheSenderAndSilenceFromTheOneAsked) {
+  FetchFixture fx;
+  fx.drop_first_batch = true;
+  fx.session.start(fx.world.now(), fx.a);
+  fx.request(fx.a);
+  fx.world.run_until(10000000);
+  ASSERT_EQ(fx.refetches, std::vector<NodeId>{fx.a}) << "a gap is detected at done";
+  EXPECT_EQ(fx.done_calls, 0);
+  fx.request(fx.a);
+  fx.world.run_until(20000000);
+  EXPECT_EQ(fx.done_calls, 1);
+  EXPECT_EQ(fx.rx_db.state_digest(), fx.a_db.state_digest());
+
+  // Armed again, nothing arrives: the tick refetches once per silent interval.
+  fx.session.start(fx.world.now(), fx.b);
+  for (net::Time t : {20500000, 21000000, 21500000}) {
+    fx.world.schedule_timer_for_node(fx.r, t, [&fx](net::NodeContext& ctx) {
+      fx.session.tick(ctx, 1000000);
+    });
+  }
+  fx.world.run_until(22000000);
+  EXPECT_EQ(fx.refetches, (std::vector<NodeId>{fx.a, fx.b}));
+}
+
 }  // namespace
 }  // namespace shadow::repl
 
@@ -481,13 +582,17 @@ struct RejoinFixture {
   std::vector<std::unique_ptr<DbClient>> clients;
   workload::bank::BankConfig bank{500, 0};
 
-  explicit RejoinFixture(std::uint64_t seed = 1) : world(seed) {
+  explicit RejoinFixture(std::uint64_t seed = 1, std::size_t db_replicas = 2,
+                         std::size_t db_spares = 1)
+      : world(seed) {
     tracer.attach(world);
     auto registry = std::make_shared<workload::ProcedureRegistry>();
     workload::bank::register_procedures(*registry);
     ClusterOptions opts;
     opts.registry = registry;
     opts.tracer = &tracer;
+    opts.db_replicas = db_replicas;
+    opts.db_spares = db_spares;
     opts.smr.transfer_compression = true;
     opts.loader = [this](db::Engine& e) { workload::bank::load(e, bank); };
     cluster = make_smr_cluster(world, opts);
@@ -573,6 +678,36 @@ TEST(SmrRejoin, CorruptedCompressedSnapshotFramesAreDroppedAndRetried) {
   fx.cluster.replicas[0]->quiesce();
   fx.cluster.replicas[1]->quiesce();
   EXPECT_EQ(fx.cluster.replicas[0]->state_digest(), fx.cluster.replicas[1]->state_digest());
+
+  const obs::CheckResult check = obs::check_trace(fx.tracer.snapshot());
+  EXPECT_TRUE(check.ok()) << check.summary();
+}
+
+TEST(SmrRejoin, DeadProposerRejoinCompletesThroughLivePeer) {
+  // Host 0 dies for good — its replica and its TOB node — and replica 2
+  // rejoins naming exactly those as its TOB frontend and serving replica.
+  // The first request is lost; the retry rotates both to host 1, whose
+  // replica streams the snapshot.
+  RejoinFixture fx(5, /*db_replicas=*/3, /*db_spares=*/0);
+  DbClient& client = fx.add_client(150, 13);
+  client.start();
+  fx.world.run_until(400000);
+
+  fx.world.crash(fx.cluster.replica_nodes[0]);
+  fx.world.crash(fx.cluster.tob_nodes[0]);
+  fx.cluster.replicas[2]->start_rejoin(fx.cluster.tob_nodes[0], fx.cluster.replica_nodes[0],
+                                       1000);
+  fx.world.run_until(60000000);
+
+  ASSERT_TRUE(client.done());
+  EXPECT_EQ(client.committed(), 150u);
+  EXPECT_TRUE(fx.cluster.replicas[2]->active()) << "the rejoin never completed";
+
+  fx.cluster.replicas[1]->quiesce();
+  fx.cluster.replicas[2]->quiesce();
+  EXPECT_EQ(fx.cluster.replicas[1]->state_digest(), fx.cluster.replicas[2]->state_digest());
+  EXPECT_EQ(workload::bank::total_balance(fx.cluster.replicas[2]->engine()),
+            workload::bank::total_balance(fx.cluster.replicas[1]->engine()));
 
   const obs::CheckResult check = obs::check_trace(fx.tracer.snapshot());
   EXPECT_TRUE(check.ok()) << check.summary();
