@@ -20,8 +20,10 @@
 #     keep one recovery core (no per-protocol recovery headers), one snapshot
 #     fetch session and one heartbeat detector serve every joiner, the TOB
 #     keeps no per-command delivery history, one helper builds the
-#     consensus safety recorder, and the engine keeps each row's last-touch
-#     version on its storage entry (no per-key dirty map);
+#     consensus safety recorder, the engine keeps each row's last-touch
+#     version on its storage entry (no per-key dirty map), and every message
+#     body's codec is its field list (no hand-written decoder outside the
+#     codec primitives, db::Value and consensus::EncodedBatch);
 #   * an ASan+UBSan build of the whole tree with the test suites run under
 #     it (decoded batches are views into received frames shared across
 #     the I/O, consensus and executor threads, so buffer ownership must
@@ -175,6 +177,17 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "${recorders}" >&2
     exit 1
   fi
+  # One field list per wire body: a body's codec is wire::Fields over its
+  # members, which derives encode and decode from that one list. Only the
+  # primitives and containers (wire/codec.hpp), db::Value (db/wire.hpp) and
+  # consensus::EncodedBatch (consensus/types.hpp) keep hand-written codecs.
+  decoders="$(grep -rl 'decode(BytesReader&' src |
+    grep -vxE 'src/(wire/codec|db/wire|consensus/types)\.hpp' || true)"
+  if [[ -n "${decoders}" ]]; then
+    echo "FAIL: hand-written decoders are back (declare the body's wire::Fields list):" >&2
+    echo "${decoders}" >&2
+    exit 1
+  fi
 
   echo "== strict: -Wall -Wextra -Werror build of shadow_net + shadow_obs + shadow_wire =="
   cmake -B build-strict -S . \
@@ -237,6 +250,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     --shards 2 --cross-shard-pct 20 --rebalance-at-ms 2000 >/dev/null
   timeout 600 ./build/bench/chaos_campaign --plans 4 --seed 20140623 \
     --shards 2 --cross-shard-pct 20 --rebalance-at-ms 2000 --kill-donor >/dev/null
+  # Pinned: a plan that crashes TOB node 0 before the split. The split's
+  # rebroadcasts must enter through the other frontends, or it never
+  # reaches a log ("RANGE SPLIT DID NOT COMMIT").
+  timeout 600 ./build/bench/chaos_campaign --replay 7439975876262932836 \
+    --shards 2 --cross-shard-pct 20 --rebalance-at-ms 2000 >/dev/null
 
   echo "== chaos: read-mix campaign + pinned replica-kill-mid-read-only-fanout seed =="
   # 40% of each client's txns ride the lock-free snapshot-read path while the

@@ -162,27 +162,10 @@ ReplicatedDb make_mysql_repl(net::Transport& world,
 namespace shadow::wire {
 
 template <>
-struct Codec<baselines::ReplicateBody> {
-  static void encode(BytesWriter& w, const baselines::ReplicateBody& v) {
-    w.u64(v.session);
-    Codec<std::vector<db::Statement>>::encode(w, v.statements);
-  }
-  static baselines::ReplicateBody decode(BytesReader& r) {
-    baselines::ReplicateBody v;
-    v.session = r.u64();
-    v.statements = Codec<std::vector<db::Statement>>::decode(r);
-    return v;
-  }
-};
+struct Codec<baselines::ReplicateBody>
+    : Fields<&baselines::ReplicateBody::session, &baselines::ReplicateBody::statements> {};
 
 template <>
-struct Codec<baselines::ReplicateAckBody> {
-  static void encode(BytesWriter& w, const baselines::ReplicateAckBody& v) {
-    w.u64(v.session);
-  }
-  static baselines::ReplicateAckBody decode(BytesReader& r) {
-    return {r.u64()};
-  }
-};
+struct Codec<baselines::ReplicateAckBody> : Fields<&baselines::ReplicateAckBody::session> {};
 
 }  // namespace shadow::wire

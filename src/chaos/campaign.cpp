@@ -130,9 +130,10 @@ PlanOutcome run_plan(const Plan& plan, const CampaignConfig& config) {
   // Mid-plan rebalance: an administrator node broadcasts the same
   // `::mig-split` into every group's log on a fixed cadence (TOB dedup
   // collapses the retries into one delivery per group), concurrently with
-  // whatever faults the plan injects. The donor kill is deliberately timed
-  // into the pull window so the stream must be re-sourced from a surviving
-  // donor replica.
+  // whatever faults the plan injects. Each rebroadcast enters through the
+  // next TOB frontend, so a plan that crashed one still gets the split in.
+  // The donor kill is deliberately timed into the pull window so the stream
+  // must be re-sourced from a surviving donor replica.
   core::RangeSpec split;
   if (config.shards > 1 && config.rebalance_at > 0) {
     outcome.rebalance_required = true;
@@ -147,13 +148,14 @@ PlanOutcome run_plan(const Plan& plan, const CampaignConfig& config) {
     for (int i = 0; i < 8; ++i) {
       world.schedule_timer_for_node(
           admin, config.rebalance_at + static_cast<net::Time>(i) * 500000,
-          [&sharded, split, admin](net::NodeContext& ctx) {
+          [&sharded, split, admin, i](net::NodeContext& ctx) {
             workload::TxnRequest req = core::make_split_request(split);
             req.reply_to = admin;
             for (core::GroupId g = 0; g < sharded.router->shard_count(); ++g) {
               tob::BroadcastBody body{
                   tob::Command{req.client, req.seq, workload::encode_request(req)}};
-              ctx.send(sharded.router->tob_targets(g)[0],
+              const std::vector<NodeId>& targets = sharded.router->tob_targets(g);
+              ctx.send(targets[static_cast<std::size_t>(i) % targets.size()],
                        net::make_msg(tob::kBroadcastHeader, std::move(body)));
             }
           });

@@ -197,87 +197,28 @@ class PaxosModule final : public ConsensusModule {
 namespace shadow::wire {
 
 template <>
-struct Codec<consensus::P1aBody> {
-  static void encode(BytesWriter& w, const consensus::P1aBody& v) {
-    Codec<consensus::Ballot>::encode(w, v.ballot);
-  }
-  static consensus::P1aBody decode(BytesReader& r) {
-    return {Codec<consensus::Ballot>::decode(r)};
-  }
-};
+struct Codec<consensus::P1aBody> : Fields<&consensus::P1aBody::ballot> {};
 
 template <>
-struct Codec<consensus::P1bBody> {
-  static void encode(BytesWriter& w, const consensus::P1bBody& v) {
-    Codec<consensus::Ballot>::encode(w, v.scout_ballot);
-    Codec<consensus::Ballot>::encode(w, v.promised);
-    Codec<std::vector<consensus::PValue>>::encode(w, v.accepted);
-  }
-  static consensus::P1bBody decode(BytesReader& r) {
-    consensus::P1bBody v;
-    v.scout_ballot = Codec<consensus::Ballot>::decode(r);
-    v.promised = Codec<consensus::Ballot>::decode(r);
-    v.accepted = Codec<std::vector<consensus::PValue>>::decode(r);
-    return v;
-  }
-};
+struct Codec<consensus::P1bBody>
+    : Fields<&consensus::P1bBody::scout_ballot, &consensus::P1bBody::promised,
+             &consensus::P1bBody::accepted> {};
 
 template <>
-struct Codec<consensus::P2aBody> {
-  static void encode(BytesWriter& w, const consensus::P2aBody& v) {
-    Codec<consensus::PValue>::encode(w, v.pvalue);
-  }
-  static consensus::P2aBody decode(BytesReader& r) {
-    return {Codec<consensus::PValue>::decode(r)};
-  }
-};
+struct Codec<consensus::P2aBody> : Fields<&consensus::P2aBody::pvalue> {};
 
 template <>
-struct Codec<consensus::P2bBody> {
-  static void encode(BytesWriter& w, const consensus::P2bBody& v) {
-    Codec<consensus::Ballot>::encode(w, v.commander_ballot);
-    Codec<consensus::Ballot>::encode(w, v.promised);
-    w.u64(v.slot);
-    w.u64(v.delivered);
-  }
-  static consensus::P2bBody decode(BytesReader& r) {
-    consensus::P2bBody v;
-    v.commander_ballot = Codec<consensus::Ballot>::decode(r);
-    v.promised = Codec<consensus::Ballot>::decode(r);
-    v.slot = r.u64();
-    v.delivered = r.u64();
-    return v;
-  }
-};
+struct Codec<consensus::P2bBody>
+    : Fields<&consensus::P2bBody::commander_ballot, &consensus::P2bBody::promised,
+             &consensus::P2bBody::slot, &consensus::P2bBody::delivered> {};
 
 template <>
-struct Codec<consensus::DecisionBody> {
-  static void encode(BytesWriter& w, const consensus::DecisionBody& v) {
-    w.u64(v.slot);
-    Codec<consensus::EncodedBatch>::encode(w, v.batch);
-    w.u64(v.stable);
-  }
-  static consensus::DecisionBody decode(BytesReader& r) {
-    consensus::DecisionBody v;
-    v.slot = r.u64();
-    v.batch = Codec<consensus::EncodedBatch>::decode(r);
-    v.stable = r.u64();
-    return v;
-  }
-};
+struct Codec<consensus::DecisionBody>
+    : Fields<&consensus::DecisionBody::slot, &consensus::DecisionBody::batch,
+             &consensus::DecisionBody::stable> {};
 
 template <>
-struct Codec<consensus::ProposeBody> {
-  static void encode(BytesWriter& w, const consensus::ProposeBody& v) {
-    w.u64(v.slot);
-    Codec<consensus::EncodedBatch>::encode(w, v.batch);
-  }
-  static consensus::ProposeBody decode(BytesReader& r) {
-    consensus::ProposeBody v;
-    v.slot = r.u64();
-    v.batch = Codec<consensus::EncodedBatch>::decode(r);
-    return v;
-  }
-};
+struct Codec<consensus::ProposeBody>
+    : Fields<&consensus::ProposeBody::slot, &consensus::ProposeBody::batch> {};
 
 }  // namespace shadow::wire

@@ -91,33 +91,12 @@ class TwoThirdModule final : public ConsensusModule {
 namespace shadow::wire {
 
 template <>
-struct Codec<consensus::VoteBody> {
-  static void encode(BytesWriter& w, const consensus::VoteBody& v) {
-    w.u64(v.slot);
-    w.u64(v.round);
-    Codec<consensus::EncodedBatch>::encode(w, v.batch);
-  }
-  static consensus::VoteBody decode(BytesReader& r) {
-    consensus::VoteBody v;
-    v.slot = r.u64();
-    v.round = r.u64();
-    v.batch = Codec<consensus::EncodedBatch>::decode(r);
-    return v;
-  }
-};
+struct Codec<consensus::VoteBody>
+    : Fields<&consensus::VoteBody::slot, &consensus::VoteBody::round,
+             &consensus::VoteBody::batch> {};
 
 template <>
-struct Codec<consensus::DecideBody> {
-  static void encode(BytesWriter& w, const consensus::DecideBody& v) {
-    w.u64(v.slot);
-    Codec<consensus::EncodedBatch>::encode(w, v.batch);
-  }
-  static consensus::DecideBody decode(BytesReader& r) {
-    consensus::DecideBody v;
-    v.slot = r.u64();
-    v.batch = Codec<consensus::EncodedBatch>::decode(r);
-    return v;
-  }
-};
+struct Codec<consensus::DecideBody>
+    : Fields<&consensus::DecideBody::slot, &consensus::DecideBody::batch> {};
 
 }  // namespace shadow::wire

@@ -62,34 +62,12 @@ inline std::string to_string(const Batch& b) {
 namespace shadow::wire {
 
 template <>
-struct Codec<consensus::Command> {
-  static void encode(BytesWriter& w, const consensus::Command& v) {
-    w.u32(v.client.value);
-    w.u64(v.seq);
-    w.str(v.payload);
-  }
-  static consensus::Command decode(BytesReader& r) {
-    consensus::Command v;
-    v.client = ClientId{r.u32()};
-    v.seq = r.u64();
-    v.payload = r.str();
-    return v;
-  }
-};
+struct Codec<consensus::Command>
+    : Fields<&consensus::Command::client, &consensus::Command::seq,
+             &consensus::Command::payload> {};
 
 template <>
-struct Codec<consensus::Ballot> {
-  static void encode(BytesWriter& w, const consensus::Ballot& v) {
-    w.u64(v.round);
-    w.u32(v.leader.value);
-  }
-  static consensus::Ballot decode(BytesReader& r) {
-    consensus::Ballot v;
-    v.round = r.u64();
-    v.leader = NodeId{r.u32()};
-    return v;
-  }
-};
+struct Codec<consensus::Ballot> : Fields<&consensus::Ballot::round, &consensus::Ballot::leader> {};
 
 }  // namespace shadow::wire
 
@@ -266,19 +244,7 @@ struct Codec<consensus::EncodedBatch> {
 };
 
 template <>
-struct Codec<consensus::PValue> {
-  static void encode(BytesWriter& w, const consensus::PValue& v) {
-    Codec<consensus::Ballot>::encode(w, v.ballot);
-    w.u64(v.slot);
-    Codec<consensus::EncodedBatch>::encode(w, v.batch);
-  }
-  static consensus::PValue decode(BytesReader& r) {
-    consensus::PValue v;
-    v.ballot = Codec<consensus::Ballot>::decode(r);
-    v.slot = r.u64();
-    v.batch = Codec<consensus::EncodedBatch>::decode(r);
-    return v;
-  }
-};
+struct Codec<consensus::PValue>
+    : Fields<&consensus::PValue::ballot, &consensus::PValue::slot, &consensus::PValue::batch> {};
 
 }  // namespace shadow::wire

@@ -8,6 +8,17 @@
 
 namespace shadow::core {
 
+namespace {
+// Base of the jittered exponential backoff before a conflict retry is
+// resubmitted: the delay is base + uniform[0, base * 2^min(streak, 6)) where
+// streak counts consecutive conflicts of the same transaction. Without it,
+// an immediate retry usually re-collides with the still-in-flight winner
+// (its locks are held until its decide), and every spin burns three ordered
+// log entries per participant group — under contention that feedback loop
+// collapses throughput.
+constexpr net::Time kConflictBackoffUs = 400;
+}  // namespace
+
 DbClient::DbClient(net::Transport& world, NodeId self, ClientId id, Options options,
                    NextTxnFn next_txn)
     : world_(world),
@@ -171,13 +182,10 @@ void DbClient::finish_current(net::NodeContext& ctx, const workload::TxnResponse
     if (options_.tracer) options_.tracer->txn_ack(ctx.now(), self_, id_, resp.seq, false);
     ++conflict_retries_;
     in_flight_->seq = ++seq_;
-    net::Time delay = 0;
-    if (options_.conflict_backoff_us > 0) {
-      const std::uint32_t streak = conflict_streak_ < 6 ? conflict_streak_ : 6;
-      backoff_state_ = backoff_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      const net::Time span = options_.conflict_backoff_us << streak;
-      delay = options_.conflict_backoff_us + (backoff_state_ >> 33) % span;
-    }
+    const std::uint32_t streak = conflict_streak_ < 6 ? conflict_streak_ : 6;
+    backoff_state_ = backoff_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    const net::Time delay =
+        kConflictBackoffUs + (backoff_state_ >> 33) % (kConflictBackoffUs << streak);
     ++conflict_streak_;
     ctx.set_timer(delay, [this](net::NodeContext& c) {
       if (!in_flight_ || done_) return;

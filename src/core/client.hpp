@@ -46,15 +46,8 @@ class DbClient {
     /// no-wait 2PC conflict rule ("xs-lock-conflict") — those aborts are
     /// transient serialization failures, not transaction outcomes. Semantic
     /// aborts (overdraft, missing account) are never retried.
+    /// A retry waits out a jittered exponential backoff (see client.cpp).
     bool retry_conflict_aborts = false;
-    /// Jittered exponential backoff before a conflict retry is resubmitted:
-    /// the delay is uniform in [base, base * 2^min(streak, 6)] where streak
-    /// counts consecutive conflicts of the same transaction. Without it,
-    /// an immediate retry usually re-collides with the still-in-flight
-    /// winner (its locks are held until its decide), and every spin burns
-    /// three ordered log entries per participant group — under contention
-    /// that feedback loop collapses throughput. 0 retries immediately.
-    net::Time conflict_backoff_us = 400;
   };
 
   /// Supplies the next transaction (procedure name + parameters).

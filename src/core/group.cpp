@@ -26,10 +26,7 @@ tob::TobConfig make_group_tob_config(net::Transport& world, const ClusterOptions
   tob::TobConfig config;
   config.protocol = options.protocol;
   config.profile.tier = options.tob_tier;
-  config.batch_max = options.tob_batch_max;
-  config.max_outstanding = options.tob_max_outstanding;
   config.adaptive_batching = options.tob_adaptive_batching;
-  config.batch_min = options.tob_batch_min;
   config.tracer = options.tracer;
   config.paxos.tracer = options.tracer;
   config.two_third.tracer = options.tracer;

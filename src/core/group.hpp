@@ -29,15 +29,10 @@ struct ClusterOptions {
   std::size_t db_spares = 1;       // passive replacements
   tob::Protocol protocol = tob::Protocol::kPaxos;
   gpm::ExecutionTier tob_tier = gpm::ExecutionTier::kCompiled;
-  std::size_t tob_batch_max = 64;
-  // Multi-decree pipelining (PMMC's WINDOW): proposals in flight per node.
-  // 1 maximizes batching, which wins when consensus work dominates.
-  std::size_t tob_max_outstanding = 1;
   /// Load-adaptive proposal sizing (see TobConfig::adaptive_batching). When
   /// `smr.pipelined_execution` is also on, each TOB node's backlog probe is
   /// wired to its co-located replica's executor-pipeline queue depth.
   bool tob_adaptive_batching = false;
-  std::size_t tob_batch_min = 1;
 
   /// Engine flavour per replica index (cycled). Empty → the paper's diverse
   /// default [H2, HSQLDB, Derby].

@@ -241,79 +241,26 @@ class RangeMigrator {
 namespace shadow::wire {
 
 template <>
-struct Codec<core::RangeSpec> {
-  static void encode(BytesWriter& w, const core::RangeSpec& v) {
-    w.u64(v.mid);
-    w.str(v.table);
-    w.u64(static_cast<std::uint64_t>(v.lo));
-    w.u64(static_cast<std::uint64_t>(v.hi));
-    w.u32(v.from);
-    w.u32(v.to);
-    w.u32(v.donor.value);
-  }
-  static core::RangeSpec decode(BytesReader& r) {
-    core::RangeSpec v;
-    v.mid = r.u64();
-    v.table = r.str();
-    v.lo = static_cast<std::int64_t>(r.u64());
-    v.hi = static_cast<std::int64_t>(r.u64());
-    v.from = r.u32();
-    v.to = r.u32();
-    v.donor = NodeId{r.u32()};
-    return v;
-  }
-};
+struct Codec<core::RangeSpec>
+    : Fields<&core::RangeSpec::mid, &core::RangeSpec::table, &core::RangeSpec::lo,
+             &core::RangeSpec::hi, &core::RangeSpec::from, &core::RangeSpec::to,
+             &core::RangeSpec::donor> {};
 
 template <>
-struct Codec<core::MigPullBody> {
-  static void encode(BytesWriter& w, const core::MigPullBody& v) { w.u64(v.mid); }
-  static core::MigPullBody decode(BytesReader& r) { return {r.u64()}; }
-};
+struct Codec<core::MigPullBody> : Fields<&core::MigPullBody::mid> {};
 
 template <>
-struct Codec<core::RangeOverride> {
-  static void encode(BytesWriter& w, const core::RangeOverride& v) {
-    w.str(v.table);
-    w.u64(static_cast<std::uint64_t>(v.lo));
-    w.u64(static_cast<std::uint64_t>(v.hi));
-    w.u32(v.from);
-    w.u32(v.to);
-  }
-  static core::RangeOverride decode(BytesReader& r) {
-    core::RangeOverride v;
-    v.table = r.str();
-    v.lo = static_cast<std::int64_t>(r.u64());
-    v.hi = static_cast<std::int64_t>(r.u64());
-    v.from = r.u32();
-    v.to = r.u32();
-    return v;
-  }
-};
+struct Codec<core::RangeOverride>
+    : Fields<&core::RangeOverride::table, &core::RangeOverride::lo, &core::RangeOverride::hi,
+             &core::RangeOverride::from, &core::RangeOverride::to> {};
 
 template <>
-struct Codec<core::MigSnapBody> {
-  static void encode(BytesWriter& w, const core::MigSnapBody& v) {
-    Codec<std::vector<core::RangeOverride>>::encode(w, v.overrides);
-    w.u32(static_cast<std::uint32_t>(v.inflight.size()));
-    for (const auto& e : v.inflight) {
-      Codec<core::RangeSpec>::encode(w, e.spec);
-      Codec<std::vector<std::uint32_t>>::encode(w, e.ready);
-      w.u8(e.buffered);
-      Codec<std::vector<db::Engine::SnapshotBatch>>::encode(w, e.batches);
-    }
-  }
-  static core::MigSnapBody decode(BytesReader& r) {
-    core::MigSnapBody v;
-    v.overrides = Codec<std::vector<core::RangeOverride>>::decode(r);
-    v.inflight.resize(r.u32());
-    for (auto& e : v.inflight) {
-      e.spec = Codec<core::RangeSpec>::decode(r);
-      e.ready = Codec<std::vector<std::uint32_t>>::decode(r);
-      e.buffered = r.u8();
-      e.batches = Codec<std::vector<db::Engine::SnapshotBatch>>::decode(r);
-    }
-    return v;
-  }
-};
+struct Codec<core::MigSnapBody::Inflight>
+    : Fields<&core::MigSnapBody::Inflight::spec, &core::MigSnapBody::Inflight::ready,
+             &core::MigSnapBody::Inflight::buffered, &core::MigSnapBody::Inflight::batches> {};
+
+template <>
+struct Codec<core::MigSnapBody>
+    : Fields<&core::MigSnapBody::overrides, &core::MigSnapBody::inflight> {};
 
 }  // namespace shadow::wire

@@ -98,19 +98,8 @@ class PbrReplica {
 namespace shadow::wire {
 
 template <>
-struct Codec<core::RedirectBody> {
-  static void encode(BytesWriter& w, const core::RedirectBody& v) {
-    w.u32(v.primary.value);
-    w.u64(v.config);
-    w.u8(v.busy ? 1 : 0);
-  }
-  static core::RedirectBody decode(BytesReader& r) {
-    core::RedirectBody v;
-    v.primary = NodeId{r.u32()};
-    v.config = r.u64();
-    v.busy = r.u8() != 0;
-    return v;
-  }
-};
+struct Codec<core::RedirectBody>
+    : Fields<&core::RedirectBody::primary, &core::RedirectBody::config,
+             &core::RedirectBody::busy> {};
 
 }  // namespace shadow::wire

@@ -179,31 +179,11 @@ class RecoveryCore {
 namespace shadow::wire {
 
 template <>
-struct Codec<core::ReplElectBody> {
-  static void encode(BytesWriter& w, const core::ReplElectBody& v) {
-    w.u64(v.config);
-    w.u64(v.executed);
-  }
-  static core::ReplElectBody decode(BytesReader& r) {
-    core::ReplElectBody v;
-    v.config = r.u64();
-    v.executed = r.u64();
-    return v;
-  }
-};
+struct Codec<core::ReplElectBody>
+    : Fields<&core::ReplElectBody::config, &core::ReplElectBody::executed> {};
 
 template <>
-struct Codec<core::ReplCatchupBody> {
-  static void encode(BytesWriter& w, const core::ReplCatchupBody& v) {
-    w.u64(v.config);
-    Codec<std::vector<std::pair<std::uint64_t, workload::TxnRequest>>>::encode(w, v.txns);
-  }
-  static core::ReplCatchupBody decode(BytesReader& r) {
-    core::ReplCatchupBody v;
-    v.config = r.u64();
-    v.txns = Codec<std::vector<std::pair<std::uint64_t, workload::TxnRequest>>>::decode(r);
-    return v;
-  }
-};
+struct Codec<core::ReplCatchupBody>
+    : Fields<&core::ReplCatchupBody::config, &core::ReplCatchupBody::txns> {};
 
 }  // namespace shadow::wire

@@ -166,65 +166,21 @@ inline void collect_snapshot_dedup(const TxnExecutor& executor, repl::SnapBegin2
 namespace shadow::wire {
 
 template <>
-struct Codec<core::ReplForwardBody> {
-  static void encode(BytesWriter& w, const core::ReplForwardBody& v) {
-    w.u64(v.config);
-    w.u64(v.order);
-    Codec<workload::TxnRequest>::encode(w, v.request);
-  }
-  static core::ReplForwardBody decode(BytesReader& r) {
-    core::ReplForwardBody v;
-    v.config = r.u64();
-    v.order = r.u64();
-    v.request = Codec<workload::TxnRequest>::decode(r);
-    return v;
-  }
-};
+struct Codec<core::ReplForwardBody>
+    : Fields<&core::ReplForwardBody::config, &core::ReplForwardBody::order,
+             &core::ReplForwardBody::request> {};
 
 template <>
-struct Codec<core::ReplAckBody> {
-  static void encode(BytesWriter& w, const core::ReplAckBody& v) {
-    w.u64(v.config);
-    w.u64(v.order);
-  }
-  static core::ReplAckBody decode(BytesReader& r) {
-    core::ReplAckBody v;
-    v.config = r.u64();
-    v.order = r.u64();
-    return v;
-  }
-};
+struct Codec<core::ReplAckBody> : Fields<&core::ReplAckBody::config, &core::ReplAckBody::order> {};
 
 template <>
-struct Codec<core::DeliverHandoff> {
-  static void encode(BytesWriter& w, const core::DeliverHandoff& v) {
-    w.u64(v.slot);
-    w.u64(v.index);
-    Codec<consensus::Command>::encode(w, v.command);
-  }
-  static core::DeliverHandoff decode(BytesReader& r) {
-    core::DeliverHandoff v;
-    v.slot = r.u64();
-    v.index = r.u64();
-    v.command = Codec<consensus::Command>::decode(r);
-    return v;
-  }
-};
+struct Codec<core::DeliverHandoff>
+    : Fields<&core::DeliverHandoff::slot, &core::DeliverHandoff::index,
+             &core::DeliverHandoff::command> {};
 
 template <>
-struct Codec<core::DeliverBatchHandoff> {
-  static void encode(BytesWriter& w, const core::DeliverBatchHandoff& v) {
-    w.u64(v.slot);
-    w.u64(v.base_index);
-    Codec<consensus::EncodedBatch>::encode(w, v.batch);
-  }
-  static core::DeliverBatchHandoff decode(BytesReader& r) {
-    core::DeliverBatchHandoff v;
-    v.slot = r.u64();
-    v.base_index = r.u64();
-    v.batch = Codec<consensus::EncodedBatch>::decode(r);
-    return v;
-  }
-};
+struct Codec<core::DeliverBatchHandoff>
+    : Fields<&core::DeliverBatchHandoff::slot, &core::DeliverBatchHandoff::base_index,
+             &core::DeliverBatchHandoff::batch> {};
 
 }  // namespace shadow::wire

@@ -173,105 +173,32 @@ class RoServer {
 namespace shadow::wire {
 
 template <>
-struct Codec<core::RoSnapBody> {
-  static void encode(BytesWriter& w, const core::RoSnapBody& v) {
-    w.u32(v.client);
-    w.u64(v.seq);
-    w.u32(v.group);
-  }
-  static core::RoSnapBody decode(BytesReader& r) {
-    core::RoSnapBody v;
-    v.client = r.u32();
-    v.seq = r.u64();
-    v.group = r.u32();
-    return v;
-  }
-};
+struct Codec<core::RoSnapBody>
+    : Fields<&core::RoSnapBody::client, &core::RoSnapBody::seq, &core::RoSnapBody::group> {};
 
 template <>
-struct Codec<core::RoSnapRespBody> {
-  static void encode(BytesWriter& w, const core::RoSnapRespBody& v) {
-    w.u32(v.group);
-    w.u64(v.seq);
-    w.u64(v.position);
-    w.u64(v.floor);
-    w.u8(v.serving);
-    Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::encode(w, v.prepared);
-    w.u32(static_cast<std::uint32_t>(v.decides.size()));
-    for (const auto& d : v.decides) {
-      w.u32(d.client);
-      w.u64(d.seq);
-      w.u64(d.decide_pos);
-      w.u8(d.committed);
-      Codec<std::vector<std::uint32_t>>::encode(w, d.participants);
-    }
-    Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::encode(w, v.last_decided);
-  }
-  static core::RoSnapRespBody decode(BytesReader& r) {
-    core::RoSnapRespBody v;
-    v.group = r.u32();
-    v.seq = r.u64();
-    v.position = r.u64();
-    v.floor = r.u64();
-    v.serving = r.u8();
-    v.prepared = Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::decode(r);
-    v.decides.resize(r.u32());
-    for (auto& d : v.decides) {
-      d.client = r.u32();
-      d.seq = r.u64();
-      d.decide_pos = r.u64();
-      d.committed = r.u8();
-      d.participants = Codec<std::vector<std::uint32_t>>::decode(r);
-    }
-    v.last_decided = Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::decode(r);
-    return v;
-  }
-};
+struct Codec<core::RoSnapRespBody::Decide>
+    : Fields<&core::RoSnapRespBody::Decide::client, &core::RoSnapRespBody::Decide::seq,
+             &core::RoSnapRespBody::Decide::decide_pos, &core::RoSnapRespBody::Decide::committed,
+             &core::RoSnapRespBody::Decide::participants> {};
 
 template <>
-struct Codec<core::RoReadBody> {
-  static void encode(BytesWriter& w, const core::RoReadBody& v) {
-    Codec<workload::TxnRequest>::encode(w, v.req);
-    w.u64(v.version);
-    w.u64(v.floor);
-    w.u32(v.group);
-    w.u32(v.hops);
-  }
-  static core::RoReadBody decode(BytesReader& r) {
-    core::RoReadBody v;
-    v.req = Codec<workload::TxnRequest>::decode(r);
-    v.version = r.u64();
-    v.floor = r.u64();
-    v.group = r.u32();
-    v.hops = r.u32();
-    return v;
-  }
-};
+struct Codec<core::RoSnapRespBody>
+    : Fields<&core::RoSnapRespBody::group, &core::RoSnapRespBody::seq,
+             &core::RoSnapRespBody::position, &core::RoSnapRespBody::floor,
+             &core::RoSnapRespBody::serving, &core::RoSnapRespBody::prepared,
+             &core::RoSnapRespBody::decides, &core::RoSnapRespBody::last_decided> {};
 
 template <>
-struct Codec<core::RoReadRespBody> {
-  static void encode(BytesWriter& w, const core::RoReadRespBody& v) {
-    w.u32(v.client);
-    w.u64(v.seq);
-    w.u32(v.group);
-    w.u32(v.served_group);
-    w.u64(v.version);
-    w.u8(v.ok);
-    w.str(v.error);
-    Codec<std::vector<db::Row>>::encode(w, v.rows);
-  }
-  static core::RoReadRespBody decode(BytesReader& r) {
-    core::RoReadRespBody v;
-    v.client = r.u32();
-    v.seq = r.u64();
-    v.group = r.u32();
-    v.served_group = r.u32();
-    v.version = r.u64();
-    v.ok = r.u8();
-    v.error = r.str();
-    v.rows = Codec<std::vector<db::Row>>::decode(r);
-    return v;
-  }
-};
+struct Codec<core::RoReadBody>
+    : Fields<&core::RoReadBody::req, &core::RoReadBody::version, &core::RoReadBody::floor,
+             &core::RoReadBody::group, &core::RoReadBody::hops> {};
+
+template <>
+struct Codec<core::RoReadRespBody>
+    : Fields<&core::RoReadRespBody::client, &core::RoReadRespBody::seq,
+             &core::RoReadRespBody::group, &core::RoReadRespBody::served_group,
+             &core::RoReadRespBody::version, &core::RoReadRespBody::ok,
+             &core::RoReadRespBody::error, &core::RoReadRespBody::rows> {};
 
 }  // namespace shadow::wire

@@ -21,6 +21,9 @@ constexpr const char* kHbHeader = "smr-hb";
 /// the stream falls silent this long.
 constexpr net::Time kRejoinGrace = 100000;
 constexpr net::Time kRejoinRetry = 500000;
+/// Decided batches in flight between a pipelined replica's consensus and
+/// executor threads.
+constexpr std::size_t kPipelineRingCapacity = 256;
 
 bool contains(const std::vector<NodeId>& v, NodeId n) {
   return std::find(v.begin(), v.end(), n) != v.end();
@@ -106,8 +109,7 @@ SmrReplica::SmrReplica(net::Transport& world, NodeId self, tob::TobNode& tob,
                                     DeliverBatchHandoff{slot, base_index, batch}));
     });
     pipeline_ = std::make_unique<ExecutorPipeline>(
-        world_, self_, executor_, config_.pipeline_ring_capacity, config_.tracer,
-        config_.metric_scope);
+        world_, self_, executor_, kPipelineRingCapacity, config_.tracer, config_.metric_scope);
     world_.add_idle_hook([this] { return pipeline_->drain_completions(); });
   } else {
     tob_.subscribe_local([this](net::NodeContext& ctx, Slot slot, std::uint64_t index,
@@ -333,6 +335,10 @@ void SmrReplica::send_snapshot_stream(net::NodeContext& ctx, NodeId to,
 }
 
 void SmrReplica::start_rejoin(NodeId via_tob, NodeId proposer, RequestSeq seq) {
+  begin_rejoin(via_tob, proposer, seq, /*live_log=*/false);
+}
+
+void SmrReplica::begin_rejoin(NodeId via_tob, NodeId proposer, RequestSeq seq, bool live_log) {
   active_ = false;
   joining_ = true;
   rejoining_ = true;
@@ -346,8 +352,10 @@ void SmrReplica::start_rejoin(NodeId via_tob, NodeId proposer, RequestSeq seq) {
   // crash-restart); 0 after a real process restart, which gets a full copy.
   rejoin_base_version_ = executor_.engine().state_version();
   fetch_.stop();
-  // Hold TOB delivery/proposing until the snapshot tells us where to resume.
-  tob_.pause_for_rejoin();
+  // Hold TOB delivery until the snapshot tells us where to resume. A
+  // restarted process's empty log holds proposing too; a live log keeps
+  // ordering for its group.
+  tob_.pause_for_rejoin(/*keep_ordering=*/live_log);
   rejoin_timer_ = world_.schedule_timer_for_node(
       self_, world_.now() + kRejoinGrace, [this](net::NodeContext& ctx) { rejoin_tick(ctx); });
 }
@@ -357,7 +365,8 @@ void SmrReplica::resync() {
   // Served by the first live peer (a rejoin names no server of its own).
   // Seq is the current virtual millisecond: unique across this node's
   // resyncs and disjoint from restart incarnation counters.
-  start_rejoin(tob_.node(), self_, static_cast<RequestSeq>(world_.now() / 1000));
+  begin_rejoin(tob_.node(), self_, static_cast<RequestSeq>(world_.now() / 1000),
+               /*live_log=*/true);
   // Our engine skipped the effects of the delivery that triggered this
   // resync, so its version is no base for a delta: fetch a full copy.
   rejoin_base_version_ = 0;
@@ -394,7 +403,8 @@ void SmrReplica::send_rejoin_request(net::NodeContext& ctx) {
       }
     }
   }
-  // Our own TOB node is paused: it would hold the request unproposed.
+  // After a restart our own TOB node holds its proposals until resume: it
+  // would leave the request unproposed.
   if (rejoin_via_ == tob_.node()) rejoin_via_ = tob_of(rejoin_proposer_);
   fetch_.start(ctx.now(), rejoin_proposer_);
   workload::TxnRequest req;

@@ -62,7 +62,6 @@ struct SmrConfig {
   /// other threads (TcpTransport in pipelined mode); the simulator stays
   /// single-threaded and must leave this off.
   bool pipelined_execution = false;
-  std::size_t pipeline_ring_capacity = 256;  // decided batches in flight
   /// Block-compress snapshot frames (rejoin, spare promotion, migration).
   /// Off by default: compression trades sender/receiver CPU for wire volume.
   bool transfer_compression = false;
@@ -139,6 +138,9 @@ class SmrReplica {
   const HeartbeatDetector& detector() const { return hb_; }
 
  private:
+  /// start_rejoin and resync: `live_log` (a resync) keeps the TOB node
+  /// ordering while its delivery is paused.
+  void begin_rejoin(NodeId via_tob, NodeId proposer, RequestSeq seq, bool live_log);
   void on_deliver(net::NodeContext& ctx, Slot slot, std::uint64_t index,
                   const tob::Command& cmd);
   void on_deliver_batch(net::NodeContext& ctx, Slot slot, std::uint64_t base_index,

@@ -283,65 +283,27 @@ class XsCoordinator {
 namespace shadow::wire {
 
 template <>
-struct Codec<core::XsSnapBody> {
-  static void encode(BytesWriter& w, const core::XsSnapBody& v) {
-    w.u32(static_cast<std::uint32_t>(v.prepared.size()));
-    for (const auto& p : v.prepared) {
-      w.str(p.orig);
-      w.u64(p.prepare_index);
-      w.u32(p.coordinator);
-      w.u8(p.vote_yes);
-      w.str(p.error);
-    }
-    w.u32(static_cast<std::uint32_t>(v.parked.size()));
-    for (const auto& p : v.parked) {
-      w.u64(p.index);
-      w.str(p.orig);
-    }
-    w.u32(static_cast<std::uint32_t>(v.coords.size()));
-    for (const auto& c : v.coords) {
-      w.str(c.orig);
-      Codec<std::vector<std::uint32_t>>::encode(w, c.participants);
-      Codec<std::vector<std::pair<std::uint32_t, std::uint8_t>>>::encode(w, c.votes);
-      w.str(c.abort_error);
-      w.u8(c.decided);
-      w.u8(c.commit);
-      w.u8(c.responded);
-      w.u32(c.decide_resends);
-      w.u64(c.epoch);
-    }
-    Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::encode(w, v.last_decided);
-  }
-  static core::XsSnapBody decode(BytesReader& r) {
-    core::XsSnapBody v;
-    v.prepared.resize(r.u32());
-    for (auto& p : v.prepared) {
-      p.orig = r.str();
-      p.prepare_index = r.u64();
-      p.coordinator = r.u32();
-      p.vote_yes = r.u8();
-      p.error = r.str();
-    }
-    v.parked.resize(r.u32());
-    for (auto& p : v.parked) {
-      p.index = r.u64();
-      p.orig = r.str();
-    }
-    v.coords.resize(r.u32());
-    for (auto& c : v.coords) {
-      c.orig = r.str();
-      c.participants = Codec<std::vector<std::uint32_t>>::decode(r);
-      c.votes = Codec<std::vector<std::pair<std::uint32_t, std::uint8_t>>>::decode(r);
-      c.abort_error = r.str();
-      c.decided = r.u8();
-      c.commit = r.u8();
-      c.responded = r.u8();
-      c.decide_resends = r.u32();
-      c.epoch = r.u64();
-    }
-    v.last_decided = Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::decode(r);
-    return v;
-  }
-};
+struct Codec<core::XsSnapBody::PrepEntry>
+    : Fields<&core::XsSnapBody::PrepEntry::orig, &core::XsSnapBody::PrepEntry::prepare_index,
+             &core::XsSnapBody::PrepEntry::coordinator, &core::XsSnapBody::PrepEntry::vote_yes,
+             &core::XsSnapBody::PrepEntry::error> {};
+
+template <>
+struct Codec<core::XsSnapBody::ParkEntry>
+    : Fields<&core::XsSnapBody::ParkEntry::index, &core::XsSnapBody::ParkEntry::orig> {};
+
+template <>
+struct Codec<core::XsSnapBody::CoordEntry>
+    : Fields<&core::XsSnapBody::CoordEntry::orig, &core::XsSnapBody::CoordEntry::participants,
+             &core::XsSnapBody::CoordEntry::votes, &core::XsSnapBody::CoordEntry::abort_error,
+             &core::XsSnapBody::CoordEntry::decided, &core::XsSnapBody::CoordEntry::commit,
+             &core::XsSnapBody::CoordEntry::responded,
+             &core::XsSnapBody::CoordEntry::decide_resends,
+             &core::XsSnapBody::CoordEntry::epoch> {};
+
+template <>
+struct Codec<core::XsSnapBody>
+    : Fields<&core::XsSnapBody::prepared, &core::XsSnapBody::parked, &core::XsSnapBody::coords,
+             &core::XsSnapBody::last_decided> {};
 
 }  // namespace shadow::wire

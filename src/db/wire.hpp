@@ -19,117 +19,30 @@ struct Codec<db::Value> {
 };
 
 template <>
-struct Codec<db::ColumnDef> {
-  static void encode(BytesWriter& w, const db::ColumnDef& v) {
-    w.str(v.name);
-    w.u8(static_cast<std::uint8_t>(v.type));
-  }
-  static db::ColumnDef decode(BytesReader& r) {
-    db::ColumnDef v;
-    v.name = r.str();
-    v.type = static_cast<db::ColumnType>(r.u8());
-    return v;
-  }
-};
+struct Codec<db::ColumnDef> : Fields<&db::ColumnDef::name, &db::ColumnDef::type> {};
 
 template <>
-struct Codec<db::TableSchema> {
-  static void encode(BytesWriter& w, const db::TableSchema& v) {
-    w.str(v.name);
-    Codec<std::vector<db::ColumnDef>>::encode(w, v.columns);
-    Codec<std::vector<std::size_t>>::encode(w, v.primary_key);
-  }
-  static db::TableSchema decode(BytesReader& r) {
-    db::TableSchema v;
-    v.name = r.str();
-    v.columns = Codec<std::vector<db::ColumnDef>>::decode(r);
-    v.primary_key = Codec<std::vector<std::size_t>>::decode(r);
-    return v;
-  }
-};
+struct Codec<db::TableSchema>
+    : Fields<&db::TableSchema::name, &db::TableSchema::columns, &db::TableSchema::primary_key> {};
 
 template <>
-struct Codec<db::Engine::SnapshotBatch> {
-  static void encode(BytesWriter& w, const db::Engine::SnapshotBatch& v) {
-    w.str(v.table);
-    Codec<Bytes>::encode(w, v.data);
-    w.u64(v.rows);
-  }
-  static db::Engine::SnapshotBatch decode(BytesReader& r) {
-    db::Engine::SnapshotBatch v;
-    v.table = r.str();
-    v.data = Codec<Bytes>::decode(r);
-    v.rows = static_cast<std::size_t>(r.u64());
-    return v;
-  }
-};
+struct Codec<db::Engine::SnapshotBatch>
+    : Fields<&db::Engine::SnapshotBatch::table, &db::Engine::SnapshotBatch::data,
+             &db::Engine::SnapshotBatch::rows> {};
 
 template <>
-struct Codec<db::Condition> {
-  static void encode(BytesWriter& w, const db::Condition& v) {
-    w.u64(v.column);
-    w.u8(static_cast<std::uint8_t>(v.op));
-    Codec<db::Value>::encode(w, v.value);
-  }
-  static db::Condition decode(BytesReader& r) {
-    db::Condition v;
-    v.column = static_cast<std::size_t>(r.u64());
-    v.op = static_cast<db::CmpOp>(r.u8());
-    v.value = Codec<db::Value>::decode(r);
-    return v;
-  }
-};
+struct Codec<db::Condition>
+    : Fields<&db::Condition::column, &db::Condition::op, &db::Condition::value> {};
 
 template <>
-struct Codec<db::SetClause> {
-  static void encode(BytesWriter& w, const db::SetClause& v) {
-    w.u64(v.column);
-    w.u8(static_cast<std::uint8_t>(v.op));
-    Codec<db::Value>::encode(w, v.value);
-  }
-  static db::SetClause decode(BytesReader& r) {
-    db::SetClause v;
-    v.column = static_cast<std::size_t>(r.u64());
-    v.op = static_cast<db::SetOp>(r.u8());
-    v.value = Codec<db::Value>::decode(r);
-    return v;
-  }
-};
+struct Codec<db::SetClause>
+    : Fields<&db::SetClause::column, &db::SetClause::op, &db::SetClause::value> {};
 
 template <>
-struct Codec<db::Statement> {
-  static void encode(BytesWriter& w, const db::Statement& v) {
-    w.u8(static_cast<std::uint8_t>(v.kind));
-    w.str(v.table);
-    Codec<db::TableSchema>::encode(w, v.schema);
-    Codec<db::Row>::encode(w, v.row);
-    Codec<db::Key>::encode(w, v.key);
-    Codec<std::vector<db::SetClause>>::encode(w, v.sets);
-    Codec<std::vector<db::Condition>>::encode(w, v.where);
-    w.u8(static_cast<std::uint8_t>(v.agg));
-    w.u64(v.agg_column);
-    Codec<std::optional<std::pair<std::size_t, bool>>>::encode(w, v.order_by);
-    w.u64(v.limit);
-    Codec<std::vector<std::size_t>>::encode(w, v.select_columns);
-    w.u8(v.for_update ? 1 : 0);
-  }
-  static db::Statement decode(BytesReader& r) {
-    db::Statement v;
-    v.kind = static_cast<db::Statement::Kind>(r.u8());
-    v.table = r.str();
-    v.schema = Codec<db::TableSchema>::decode(r);
-    v.row = Codec<db::Row>::decode(r);
-    v.key = Codec<db::Key>::decode(r);
-    v.sets = Codec<std::vector<db::SetClause>>::decode(r);
-    v.where = Codec<std::vector<db::Condition>>::decode(r);
-    v.agg = static_cast<db::Agg>(r.u8());
-    v.agg_column = static_cast<std::size_t>(r.u64());
-    v.order_by = Codec<std::optional<std::pair<std::size_t, bool>>>::decode(r);
-    v.limit = static_cast<std::size_t>(r.u64());
-    v.select_columns = Codec<std::vector<std::size_t>>::decode(r);
-    v.for_update = r.u8() != 0;
-    return v;
-  }
-};
+struct Codec<db::Statement>
+    : Fields<&db::Statement::kind, &db::Statement::table, &db::Statement::schema,
+             &db::Statement::row, &db::Statement::key, &db::Statement::sets, &db::Statement::where,
+             &db::Statement::agg, &db::Statement::agg_column, &db::Statement::order_by,
+             &db::Statement::limit, &db::Statement::select_columns, &db::Statement::for_update> {};
 
 }  // namespace shadow::wire

@@ -94,89 +94,28 @@ struct SnapDone2Body {
 namespace shadow::wire {
 
 template <>
-struct Codec<repl::SnapBegin2Body> {
-  static void encode(BytesWriter& w, const repl::SnapBegin2Body& v) {
-    w.u64(v.config);
-    Codec<std::vector<db::TableSchema>>::encode(w, v.schemas);
-    Codec<std::vector<std::pair<std::uint32_t, RequestSeq>>>::encode(w, v.dedup_seqs);
-    w.u64(v.order);
-    w.u8(v.mode);
-    w.u64(v.state_version);
-    w.u64(v.tag);
-  }
-  static repl::SnapBegin2Body decode(BytesReader& r) {
-    repl::SnapBegin2Body v;
-    v.config = r.u64();
-    v.schemas = Codec<std::vector<db::TableSchema>>::decode(r);
-    v.dedup_seqs = Codec<std::vector<std::pair<std::uint32_t, RequestSeq>>>::decode(r);
-    v.order = r.u64();
-    v.mode = r.u8();
-    v.state_version = r.u64();
-    v.tag = r.u64();
-    return v;
-  }
-};
+struct Codec<repl::SnapBegin2Body>
+    : Fields<&repl::SnapBegin2Body::config, &repl::SnapBegin2Body::schemas,
+             &repl::SnapBegin2Body::dedup_seqs, &repl::SnapBegin2Body::order,
+             &repl::SnapBegin2Body::mode, &repl::SnapBegin2Body::state_version,
+             &repl::SnapBegin2Body::tag> {};
 
 template <>
-struct Codec<repl::SnapBatch2Body> {
-  static void encode(BytesWriter& w, const repl::SnapBatch2Body& v) {
-    w.str(v.table);
-    w.u8(v.flags);
-    w.u32(v.raw_len);
-    w.u64(v.rows);
-    Codec<Bytes>::encode(w, v.payload);
-    w.u64(v.tag);
-  }
-  static repl::SnapBatch2Body decode(BytesReader& r) {
-    repl::SnapBatch2Body v;
-    v.table = r.str();
-    v.flags = r.u8();
-    v.raw_len = r.u32();
-    v.rows = r.u64();
-    v.payload = Codec<Bytes>::decode(r);
-    v.tag = r.u64();
-    return v;
-  }
-};
+struct Codec<repl::SnapBatch2Body>
+    : Fields<&repl::SnapBatch2Body::table, &repl::SnapBatch2Body::flags,
+             &repl::SnapBatch2Body::raw_len, &repl::SnapBatch2Body::rows,
+             &repl::SnapBatch2Body::payload, &repl::SnapBatch2Body::tag> {};
 
 template <>
-struct Codec<repl::SnapDelete2Body> {
-  static void encode(BytesWriter& w, const repl::SnapDelete2Body& v) {
-    w.str(v.table);
-    Codec<std::vector<db::Key>>::encode(w, v.keys);
-    w.u64(v.tag);
-  }
-  static repl::SnapDelete2Body decode(BytesReader& r) {
-    repl::SnapDelete2Body v;
-    v.table = r.str();
-    v.keys = Codec<std::vector<db::Key>>::decode(r);
-    v.tag = r.u64();
-    return v;
-  }
-};
+struct Codec<repl::SnapDelete2Body>
+    : Fields<&repl::SnapDelete2Body::table, &repl::SnapDelete2Body::keys,
+             &repl::SnapDelete2Body::tag> {};
 
 template <>
-struct Codec<repl::SnapDone2Body> {
-  static void encode(BytesWriter& w, const repl::SnapDone2Body& v) {
-    w.u64(v.config);
-    w.u64(v.rows);
-    w.u64(v.resume_slot);
-    w.u64(v.resume_index);
-    Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::encode(w, v.control_keys);
-    w.u64(v.frames);
-    w.u64(v.tag);
-  }
-  static repl::SnapDone2Body decode(BytesReader& r) {
-    repl::SnapDone2Body v;
-    v.config = r.u64();
-    v.rows = r.u64();
-    v.resume_slot = r.u64();
-    v.resume_index = r.u64();
-    v.control_keys = Codec<std::vector<std::pair<std::uint32_t, std::uint64_t>>>::decode(r);
-    v.frames = r.u64();
-    v.tag = r.u64();
-    return v;
-  }
-};
+struct Codec<repl::SnapDone2Body>
+    : Fields<&repl::SnapDone2Body::config, &repl::SnapDone2Body::rows,
+             &repl::SnapDone2Body::resume_slot, &repl::SnapDone2Body::resume_index,
+             &repl::SnapDone2Body::control_keys, &repl::SnapDone2Body::frames,
+             &repl::SnapDone2Body::tag> {};
 
 }  // namespace shadow::wire

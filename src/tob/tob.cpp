@@ -12,8 +12,8 @@ TobNode::TobNode(net::Transport& world, NodeId self, TobConfig config,
                  consensus::SafetyRecorder* safety)
     : world_(world), self_(self), config_(std::move(config)) {
   SHADOW_REQUIRE(!config_.nodes.empty());
-  SHADOW_REQUIRE(config_.batch_min >= 1 && config_.batch_min <= config_.batch_max);
-  batch_limit_ = config_.adaptive_batching ? config_.batch_min : config_.batch_max;
+  SHADOW_REQUIRE(config_.batch_max >= 1);
+  batch_limit_ = config_.adaptive_batching ? 1 : config_.batch_max;
   // Metric names are prefixed once here, not per observation (the scope is
   // empty — the classic names — outside sharded deployments).
   adaptive_metric_ = config_.metric_scope + "net.batch_size_adaptive";
@@ -46,7 +46,7 @@ TobNode::TobNode(net::Transport& world, NodeId self, TobConfig config,
 }
 
 void TobNode::arm_tick(net::NodeContext& ctx) {
-  if (!paused_) {
+  if (!hold_proposals_) {
     module_->on_tick(ctx);
     // Expire stale relays: the leader we relayed to may have crashed.
     for (PendingCommand& p : pending_) {
@@ -139,7 +139,7 @@ void TobNode::on_relay(net::NodeContext& ctx, const RelayBody& body) {
 }
 
 void TobNode::maybe_propose(net::NodeContext& ctx) {
-  if (paused_) return;  // rejoining: hold proposals until resume_from
+  if (hold_proposals_) return;  // restart rejoin: hold proposals until resume_from
   std::size_t eligible = 0;
   for (const PendingCommand& p : pending_) {
     if (!p.in_flight) ++eligible;
@@ -199,11 +199,10 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
     flush_chunk();
     if (self_eligible == 0) return;
   }
-  // Natural batching: at most `max_outstanding` proposals in flight per
-  // node; commands arriving while consensus is busy accumulate into the
-  // next batch. An optional linger (`batch_delay`) can trade latency for
-  // larger batches.
-  if (outstanding_.size() >= config_.max_outstanding) return;
+  // Natural batching: at most one proposal in flight per node; commands
+  // arriving while consensus is busy accumulate into the next batch. An
+  // optional linger (`batch_delay`) can trade latency for larger batches.
+  if (!outstanding_.empty()) return;
   const bool window_closed = ctx.now() - oldest_pending_since_ >= config_.batch_delay;
 
   // Load-adaptive proposal sizing: the cap doubles while the backlog (queued
@@ -218,7 +217,7 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
     if (backlog > batch_limit_) {
       batch_limit_ = std::min(batch_limit_ * 2, config_.batch_max);
     } else if (backlog <= batch_limit_ / 4) {
-      batch_limit_ = std::max(batch_limit_ / 2, config_.batch_min);
+      batch_limit_ = std::max<std::size_t>(batch_limit_ / 2, 1);
     }
   }
   const std::size_t batch_cap = batch_limit_;
@@ -280,10 +279,16 @@ void TobNode::on_decide(net::NodeContext& ctx, Slot slot, const EncodedBatch& ba
   if (slot >= next_deliver_slot_) decisions_[slot] = batch;
   if (auto it = outstanding_.find(slot); it != outstanding_.end()) {
     // Whatever of ours was not chosen becomes eligible for a later slot.
-    for (const Command& cmd : it->second.commands()) {
-      const auto key = std::make_pair(cmd.client.value, cmd.seq);
-      for (PendingCommand& p : pending_) {
-        if (std::make_pair(p.command.client.value, p.command.seq) == key) p.in_flight = false;
+    // While delivery is paused a chosen proposal stays in flight: it is
+    // delivered at resume, or retired there when the snapshot covers it.
+    // (Re-proposing decided commands would fill later batches with
+    // duplicates.)
+    if (!paused_ || it->second != batch) {
+      for (const Command& cmd : it->second.commands()) {
+        const auto key = std::make_pair(cmd.client.value, cmd.seq);
+        for (PendingCommand& p : pending_) {
+          if (std::make_pair(p.command.client.value, p.command.seq) == key) p.in_flight = false;
+        }
       }
     }
     outstanding_.erase(it);
@@ -397,8 +402,9 @@ void TobNode::ack_and_retire_pending(net::NodeContext& ctx,
   }
 }
 
-void TobNode::pause_for_rejoin() {
+void TobNode::pause_for_rejoin(bool keep_ordering) {
   paused_ = true;
+  hold_proposals_ = !keep_ordering;
 }
 
 void TobNode::resume_from(const ResumePoint& rp) {
@@ -418,16 +424,32 @@ void TobNode::resume_from(const ResumePoint& rp) {
   // Control commands (reconfig/rejoin) use a fresh client id per incarnation,
   // so a per-client floor cannot cover them: dedup them by exact key.
   for (const auto& [client, seq] : rp.control_keys) dedup_[client].add(seq, seq + 1);
-  // Decided slots below the resume point are covered by the snapshot.
-  decisions_.erase(decisions_.begin(), decisions_.lower_bound(next_deliver_slot_));
+  // Decided slots below the resume point are covered by the snapshot: the
+  // group delivered them, so commands of theirs pending here retire (with
+  // the ack delivery sends) rather than being proposed again — a command
+  // the dedup floor does not cover (a parked one) would be delivered twice.
+  std::vector<std::pair<Slot, EncodedBatch>> covered;
+  const auto resume_at = decisions_.lower_bound(next_deliver_slot_);
+  for (auto it = decisions_.begin(); it != resume_at; ++it) {
+    covered.emplace_back(it->first, std::move(it->second));
+  }
+  decisions_.erase(decisions_.begin(), resume_at);
   module_->set_delivered(next_deliver_slot_);
   paused_ = false;
+  hold_proposals_ = false;
   // Kick delivery/proposing from a proper node context (we are called from
   // the co-located replica's handler, under its identity, not ours).
-  world_.schedule_timer_for_node(self_, world_.now(), [this](net::NodeContext& ctx) {
-    deliver_ready(ctx);
-    maybe_propose(ctx);
-  });
+  world_.schedule_timer_for_node(
+      self_, world_.now(), [this, covered = std::move(covered)](net::NodeContext& ctx) {
+        for (const auto& [slot, batch] : covered) {
+          if (pending_.empty()) break;  // always so after a process restart
+          for (const Command& cmd : batch.commands()) {
+            ack_and_retire_pending(ctx, {cmd.client.value, cmd.seq}, slot);
+          }
+        }
+        deliver_ready(ctx);
+        maybe_propose(ctx);
+      });
 }
 
 TobService make_service(net::Transport& world, const TobConfig& config,

@@ -104,18 +104,16 @@ struct TobConfig {
   consensus::ExecProfile profile{.program_work = consensus::kBroadcastProgramWork};
   consensus::PaxosConfig paxos;        // peers filled from `nodes` if empty
   consensus::TwoThirdConfig two_third; // peers filled from `nodes` if empty
-  std::size_t batch_max = 64;
-  std::size_t max_outstanding = 1;  // proposals in flight per node (natural batching)
+  std::size_t batch_max = 64;       // commands per proposal
   net::Time batch_delay = 0;        // optional extra linger for batching, µs
-  /// Load-adaptive batch sizing: the proposal cap starts at `batch_min` and
+  /// Load-adaptive batch sizing: the proposal cap starts at one command and
   /// doubles (up to `batch_max`) while the backlog — pending commands,
   /// queued relayed units, and whatever set_backlog_probe() reports (the
   /// executor pipeline's queue depth) — exceeds it, then halves back toward
-  /// `batch_min` when the backlog drains below a quarter of the cap. Grows
-  /// batches under load, shrinks toward single-command latency when idle.
-  /// The live cap is exported as the `net.batch_size_adaptive` histogram.
+  /// one when the backlog drains below a quarter of the cap. Grows batches
+  /// under load, shrinks toward single-command latency when idle. The live
+  /// cap is exported as the `net.batch_size_adaptive` histogram.
   bool adaptive_batching = false;
-  std::size_t batch_min = 1;
   net::Time tick_period = 5000;     // µs driver for consensus timeouts
   net::Time relay_timeout = 500000; // relayed commands not delivered by then
                                     // are proposed locally (leader may be dead)
@@ -193,13 +191,18 @@ class TobNode {
     std::vector<std::pair<std::uint32_t, RequestSeq>> control_keys;
   };
 
-  /// Suspends delivery and proposing (consensus keeps answering — acceptor
-  /// state must stay live for quorums). Call before requesting the snapshot.
-  void pause_for_rejoin();
+  /// Suspends delivery until resume_from; call before requesting the
+  /// snapshot. Consensus keeps answering (acceptor state must stay live for
+  /// quorums). With `keep_ordering` (a resync: the log is live) the node
+  /// also keeps ticking its consensus module and proposing, so a Paxos
+  /// leader does not stall its group; without it (a restarted process, an
+  /// empty log) both wait for resume_from too.
+  void pause_for_rejoin(bool keep_ordering);
 
   /// Installs the snapshot's resume point and un-pauses. Decided slots below
-  /// `rp.slot` are discarded (the snapshot covers them); delivery restarts
-  /// at `rp.slot` with indices continuing from `rp.index_base`.
+  /// `rp.slot` are discarded (the snapshot covers them; their commands still
+  /// pending here retire with an ack); delivery restarts at `rp.slot` with
+  /// indices continuing from `rp.index_base`.
   void resume_from(const ResumePoint& rp);
 
  private:
@@ -259,7 +262,8 @@ class TobNode {
   std::unordered_map<std::uint32_t, DedupWindow> dedup_;  // per client
   std::uint64_t delivered_count_ = 0;  // since index_base_
   // -- rejoin state (see pause_for_rejoin/resume_from) -----------------------
-  bool paused_ = false;            // delivery + proposing suspended
+  bool paused_ = false;            // delivery suspended
+  bool hold_proposals_ = false;    // proposing and consensus ticks suspended too
   std::uint64_t index_base_ = 0;   // global index of the first command delivered since rejoin
   LocalDeliverFn local_subscriber_;
   LocalDeliverBatchFn batch_subscriber_;
@@ -288,59 +292,17 @@ TobService make_service(net::Transport& world, const TobConfig& config,
 namespace shadow::wire {
 
 template <>
-struct Codec<tob::BroadcastBody> {
-  static void encode(BytesWriter& w, const tob::BroadcastBody& v) {
-    Codec<tob::Command>::encode(w, v.command);
-  }
-  static tob::BroadcastBody decode(BytesReader& r) {
-    return {Codec<tob::Command>::decode(r)};
-  }
-};
+struct Codec<tob::BroadcastBody> : Fields<&tob::BroadcastBody::command> {};
 
 template <>
-struct Codec<tob::AckBody> {
-  static void encode(BytesWriter& w, const tob::AckBody& v) {
-    w.u32(v.client.value);
-    w.u64(v.seq);
-    w.u64(v.slot);
-  }
-  static tob::AckBody decode(BytesReader& r) {
-    tob::AckBody v;
-    v.client = ClientId{r.u32()};
-    v.seq = r.u64();
-    v.slot = r.u64();
-    return v;
-  }
-};
+struct Codec<tob::AckBody>
+    : Fields<&tob::AckBody::client, &tob::AckBody::seq, &tob::AckBody::slot> {};
 
 template <>
-struct Codec<tob::DeliverBody> {
-  static void encode(BytesWriter& w, const tob::DeliverBody& v) {
-    w.u64(v.slot);
-    w.u64(v.base_index);
-    Codec<tob::EncodedBatch>::encode(w, v.batch);
-  }
-  static tob::DeliverBody decode(BytesReader& r) {
-    tob::DeliverBody v;
-    v.slot = r.u64();
-    v.base_index = r.u64();
-    v.batch = Codec<tob::EncodedBatch>::decode(r);
-    return v;
-  }
-};
+struct Codec<tob::DeliverBody>
+    : Fields<&tob::DeliverBody::slot, &tob::DeliverBody::base_index, &tob::DeliverBody::batch> {};
 
 template <>
-struct Codec<tob::RelayBody> {
-  static void encode(BytesWriter& w, const tob::RelayBody& v) {
-    Codec<tob::EncodedBatch>::encode(w, v.batch);
-    Codec<std::vector<NodeId>>::encode(w, v.origins);
-  }
-  static tob::RelayBody decode(BytesReader& r) {
-    tob::RelayBody v;
-    v.batch = Codec<tob::EncodedBatch>::decode(r);
-    v.origins = Codec<std::vector<NodeId>>::decode(r);
-    return v;
-  }
-};
+struct Codec<tob::RelayBody> : Fields<&tob::RelayBody::batch, &tob::RelayBody::origins> {};
 
 }  // namespace shadow::wire

@@ -1,15 +1,28 @@
 // The Codec<T> trait: exact byte-level encoding for every message body.
 //
-// Each message-bearing struct in the stack specializes Codec<T> with a pair
-// of static functions `encode(BytesWriter&, const T&)` and
-// `decode(BytesReader&) -> T`. The simulator's `make_msg` uses the codec to
-// compute the *exact* encoded length (no more sizeof-based estimates), the
-// network's wire-fidelity mode uses it to prove every message round-trips
-// through real bytes, and the byte-level fault injector corrupts the encoded
-// frames the codec produces.
+// A type travels on the wire through `Codec<T>::encode(BytesWriter&, const
+// T&)` and `Codec<T>::decode(BytesReader&) -> T`. The simulator's `make_msg`
+// uses the codec to compute the *exact* encoded length (no more sizeof-based
+// estimates), the network's wire-fidelity mode uses it to prove every
+// message round-trips through real bytes, and the byte-level fault injector
+// corrupts the encoded frames the codec produces.
 //
-// Specializations for primitives and common containers live here; protocol
-// layers specialize Codec for their own structs next to the struct
+// Only the primitives and containers below are written by hand (plus
+// db::Value in db/wire.hpp and consensus::EncodedBatch in
+// consensus/types.hpp, whose codecs carry real logic). A message body
+// states its layout once, as the ordered list of its fields:
+//
+//   template <>
+//   struct Codec<Ballot> : Fields<&Ballot::round, &Ballot::leader> {};
+//
+// and `Fields` derives both directions from that one list. Width rule: an
+// integral *field* travels at its declared width (u8/u32/u64; a signed
+// field as its two's complement); an integral *container element* travels
+// through Codec<integral> as an 8-byte word; everything else (bool, enums,
+// NodeId, ClientId, strings, nested bodies, containers) through its Codec.
+// The layout is byte-pinned by tests/wire/codec_roundtrip_test.cpp.
+//
+// Protocol layers specialize Codec for their own structs next to the struct
 // definitions (consensus/types.hpp, tob/tob.hpp, core/replica_common.hpp,
 // workload/messages.hpp, db/wire.hpp). This header depends only on common.
 #pragma once
@@ -157,6 +170,80 @@ struct Codec<std::optional<T>> {
   static std::optional<T> decode(BytesReader& r) {
     if (r.u8() == 0) return std::nullopt;
     return Codec<T>::decode(r);
+  }
+};
+
+// --------------------------------------------------------- field lists ----
+
+/// One struct field's wire form. An integral field travels at its declared
+/// width; every other field type through its Codec.
+template <typename F>
+struct FieldCodec : Codec<F> {};
+
+template <typename F>
+  requires(std::is_integral_v<F> && !std::is_same_v<F, bool>)
+struct FieldCodec<F> {
+  static_assert(sizeof(F) == 1 || sizeof(F) == 4 || sizeof(F) == 8,
+                "integral fields are 1, 4 or 8 bytes wide");
+
+  static void encode(BytesWriter& w, const F& v) {
+    if constexpr (sizeof(F) == 1) {
+      w.u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (sizeof(F) == 4) {
+      w.u32(static_cast<std::uint32_t>(v));
+    } else {
+      w.u64(static_cast<std::uint64_t>(v));
+    }
+  }
+  static F decode(BytesReader& r) {
+    if constexpr (sizeof(F) == 1) {
+      return static_cast<F>(r.u8());
+    } else if constexpr (sizeof(F) == 4) {
+      return static_cast<F>(r.u32());
+    } else {
+      return static_cast<F>(r.u64());
+    }
+  }
+};
+
+template <typename P>
+struct MemberPointer;
+
+template <typename C, typename M>
+struct MemberPointer<M C::*> {
+  using Class = C;
+  using Type = M;
+};
+
+/// A body's codec as the ordered list of its fields: encode writes them in
+/// list order, decode reads them back in the same order. The list is the
+/// body's whole wire layout; a field left out does not travel.
+template <auto First, auto... Rest>
+struct Fields {
+  using T = typename MemberPointer<decltype(First)>::Class;
+
+  static void encode(BytesWriter& w, const T& v) {
+    encode_field<First>(w, v);
+    (encode_field<Rest>(w, v), ...);
+  }
+  static T decode(BytesReader& r) {
+    T v{};
+    decode_field<First>(r, v);
+    (decode_field<Rest>(r, v), ...);
+    return v;
+  }
+
+ private:
+  template <auto Member>
+  using FieldOf = FieldCodec<typename MemberPointer<decltype(Member)>::Type>;
+
+  template <auto Member>
+  static void encode_field(BytesWriter& w, const T& v) {
+    FieldOf<Member>::encode(w, v.*Member);
+  }
+  template <auto Member>
+  static void decode_field(BytesReader& r, T& v) {
+    v.*Member = FieldOf<Member>::decode(r);
   }
 };
 

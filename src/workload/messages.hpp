@@ -52,47 +52,16 @@ net::Message make_response_msg(const TxnResponse& resp);
 namespace shadow::wire {
 
 template <>
-struct Codec<workload::TxnRequest> {
-  static void encode(BytesWriter& w, const workload::TxnRequest& v) {
-    w.u32(v.client.value);
-    w.u64(v.seq);
-    w.u32(v.reply_to.value);
-    w.str(v.proc);
-    Codec<db::Row>::encode(w, v.params);
-  }
-  static workload::TxnRequest decode(BytesReader& r) {
-    workload::TxnRequest v;
-    v.client = ClientId{r.u32()};
-    v.seq = r.u64();
-    v.reply_to = NodeId{r.u32()};
-    v.proc = r.str();
-    v.params = Codec<db::Row>::decode(r);
-    return v;
-  }
-};
+struct Codec<workload::TxnRequest>
+    : Fields<&workload::TxnRequest::client, &workload::TxnRequest::seq,
+             &workload::TxnRequest::reply_to, &workload::TxnRequest::proc,
+             &workload::TxnRequest::params> {};
 
 template <>
-struct Codec<workload::TxnResponse> {
-  static void encode(BytesWriter& w, const workload::TxnResponse& v) {
-    w.u32(v.client.value);
-    w.u64(v.seq);
-    w.u8(v.committed ? 1 : 0);
-    Codec<std::vector<db::Row>>::encode(w, v.rows);
-    w.str(v.error);
-    w.u32(v.commit_group);
-    w.u64(v.commit_pos);
-  }
-  static workload::TxnResponse decode(BytesReader& r) {
-    workload::TxnResponse v;
-    v.client = ClientId{r.u32()};
-    v.seq = r.u64();
-    v.committed = r.u8() != 0;
-    v.rows = Codec<std::vector<db::Row>>::decode(r);
-    v.error = r.str();
-    v.commit_group = r.u32();
-    v.commit_pos = r.u64();
-    return v;
-  }
-};
+struct Codec<workload::TxnResponse>
+    : Fields<&workload::TxnResponse::client, &workload::TxnResponse::seq,
+             &workload::TxnResponse::committed, &workload::TxnResponse::rows,
+             &workload::TxnResponse::error, &workload::TxnResponse::commit_group,
+             &workload::TxnResponse::commit_pos> {};
 
 }  // namespace shadow::wire

@@ -222,25 +222,43 @@ TEST(ShardMigration, LeaderHostLaggardResyncsThroughLivePeer) {
   // buffer: every donor replica's stream to it is corrupted on the wire until
   // the other two commit the flip. It then delivers a `::mig-commit` it has
   // no buffer for and must resync from a live peer — through that peer's TOB
-  // node, since its own is paused for the rejoin.
+  // node, since its own holds delivery for the rejoin.
   MigrateFixture fx(7, /*db_replicas=*/3, /*db_spares=*/0);
   const std::int64_t initial_total = fx.bank.accounts * 1000;
   DbClient& a = fx.add_transfer_client(200, 301);
-  const NodeId laggard = fx.cluster.groups[1].replica_nodes[0];
+  const SmrReplica& lag = *fx.cluster.groups[1].replicas[0];
+  const NodeId laggard = lag.node();
   const std::vector<NodeId> donors = fx.cluster.groups[0].replica_nodes;
   for (const NodeId donor : donors) fx.world.set_link_fault(donor, laggard, {.corrupt_prob = 1.0});
   fx.broadcast_split_at(3000000, fx.split_spec());
   for (auto& c : fx.clients) c->start();
+  // Advance in 1 ms steps, testing the loop conditions every 100 ms, and
+  // note when the laggard leaves and re-enters the active set.
   net::Time t = 0;
-  while (fx.metric("mig.commits") == 0 && t < 60000000) fx.world.run_until(t += 100000);
+  net::Time resync_began = 0;
+  net::Time resync_ended = 0;
+  const auto advance_100ms = [&] {
+    for (int ms = 0; ms < 100; ++ms) {
+      fx.world.run_until(t += 1000);
+      if (!lag.active() && resync_began == 0) resync_began = t;
+      if (lag.active() && resync_began != 0 && resync_ended == 0) resync_ended = t;
+    }
+  };
+  while (fx.metric("mig.commits") == 0 && t < 60000000) advance_100ms();
   ASSERT_GT(fx.metric("mig.commits"), 0u) << "the majority never committed";
   for (const NodeId donor : donors) fx.world.clear_link_fault(donor, laggard);
-  while (!a.done() && t < 300000000) fx.world.run_until(t += 100000);
+  while (!a.done() && t < 300000000) advance_100ms();
   ASSERT_TRUE(a.done());
   EXPECT_EQ(a.committed(), 200u);
   // The laggard's TOB node was the leader: once resumed it must propose
   // again, or every command waits out a relay timeout at some other node.
   EXPECT_LT(t, 10000000) << "the group crawled after the resync";
+  // Its log stayed live through the resync, so it kept ordering for its
+  // group: the rejoin request was ordered at once, not after a relay
+  // timeout (500 ms) at the frontend it entered through.
+  ASSERT_GT(resync_began, 0u) << "the laggard never resynced";
+  ASSERT_GT(resync_ended, resync_began) << "the laggard never came back";
+  EXPECT_LT(resync_ended - resync_began, 300000) << "the resync waited on a paused leader";
   fx.world.run_until(t + 5000000);
   EXPECT_GE(fx.metric("mig.buffer_miss"), 1u) << "the laggard must have missed its buffer";
 

@@ -48,10 +48,7 @@ constexpr const char* kPokeHeader = "net-test/poke";
 
 namespace shadow::wire {
 template <>
-struct Codec<net::PingBody> {
-  static void encode(BytesWriter& w, const net::PingBody& v) { w.u64(v.value); }
-  static net::PingBody decode(BytesReader& r) { return {r.u64()}; }
-};
+struct Codec<net::PingBody> : Fields<&net::PingBody::value> {};
 }  // namespace shadow::wire
 
 namespace shadow::net {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -160,7 +161,11 @@ std::vector<sim::Message> sample_messages() {
                                   core::RedirectBody{NodeId{2}, 3, true}));
   samples.push_back(sim::make_msg(core::kReplDeliverHeader, sample_command(13)));
   samples.push_back(sim::make_msg(
-      "smr-deliver", core::DeliverHandoff{5, 6, sample_command(14)}));
+      core::kSmrDeliverHeader, core::DeliverHandoff{5, 6, sample_command(14)}));
+  samples.push_back(sim::make_msg(
+      core::kSmrDeliverBatchHeader,
+      core::DeliverBatchHandoff{5, 6, consensus::EncodedBatch{sample_batch(2)}}));
+  samples.push_back(sim::make_msg(core::kMigPullHeader, core::MigPullBody{4}));
   // read-only snapshot protocol (core/rosnap.hpp) — exercise every optional
   // section: a prepared set, a decide ring entry with participants, and the
   // per-client decided high-water map the torn-cut rule disambiguates with.
@@ -279,6 +284,68 @@ TEST(WireCodec, EveryRegisteredTypeRoundTripsByteIdentically) {
   for (const std::string& header : registry().headers()) {
     EXPECT_TRUE(covered.count(header) > 0)
         << "no round-trip sample for registered header '" << header << "'";
+  }
+}
+
+/// FNV-1a 64 over a whole frame (prologue, header and body).
+std::uint64_t frame_digest(const Bytes& frame) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint8_t b : frame) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The wire format itself, pinned: every sample frame hashes to the digest it
+// had when the format was last changed on purpose. A codec edit that moves,
+// widens or drops one byte of any body fails here, with the header named.
+TEST(WireCodec, EveryRegisteredTypeEncodesToPinnedBytes) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"px-p1a", 0xe335816c4eccfaadull},
+      {"px-p1b", 0x07896f042a5932c8ull},
+      {"px-p2a", 0x573934f9a1b19c6bull},
+      {"px-p2b", 0x5a1bf4235397bf64ull},
+      {"px-decision", 0xb57c1d12a2143e28ull},
+      {"px-propose", 0x61f72c35401bd715ull},
+      {"2/3-vote", 0xc2b627e904c760edull},
+      {"2/3-decide", 0x2cb18352908dfa85ull},
+      {"tob-broadcast", 0x5870d0726f20bbe3ull},
+      {"tob-ack", 0xa4457fc1dbc5c0cdull},
+      {"tob-deliver", 0x4070e13f7b168b96ull},
+      {"tob-relay", 0xe7f268f10c077828ull},
+      {"txn-request", 0x98b537bbfd0a16a4ull},
+      {"txn-response", 0x0657960f126f2597ull},
+      {"repl-fwd", 0x23328673c3799688ull},
+      {"pbr-ack", 0x31e5d1b7eaca40f8ull},
+      {"repl-elect", 0x5f1e31e2b74dd05eull},
+      {"repl-catchup", 0x9739c9b4bf987ebeull},
+      {"repl-snap-begin", 0xd3747ea7cce833c5ull},
+      {"repl-snap-batch", 0x6ee67ba47064e7a3ull},
+      {"repl-snap-del", 0x59b0f38da170cc51ull},
+      {"repl-snap-done", 0x8b05d44bc7456403ull},
+      {"repl-recovered", 0xc32843ffc73cbfacull},
+      {"pbr-redirect", 0x837daf56287d73a0ull},
+      {"repl-deliver", 0x31b51c03002becfdull},
+      {"smr-deliver", 0x7257d5437a0b7c66ull},
+      {"smr-deliver-batch", 0x53df0d4fa6666a8bull},
+      {"mig-pull", 0x109fc7df3524f278ull},
+      {"ro-snap", 0x852d48f8911b5afcull},
+      {"ro-snap-resp", 0xdb9d8a1357ac6ba5ull},
+      {"ro-read", 0x17dbb36d6ec997f9ull},
+      {"ro-read-resp", 0x713a32643848b070ull},
+      {"smr-snap-xs", 0xeb77ba14f9e22af8ull},
+      {"smr-snap-mig", 0x001caa5f7f65e3ddull},
+      {"bl-replicate", 0x8c1d7b4d3bf577b6ull},
+      {"bl-replicate-ack", 0xf7dded9ecaed622full},
+  };
+  const std::vector<sim::Message> samples = sample_messages();
+  ASSERT_EQ(samples.size(), pinned.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].header, pinned[i].first);
+    EXPECT_EQ(frame_digest(*samples[i].frame), pinned[i].second)
+        << "{\"" << samples[i].header << "\", 0x" << std::hex
+        << frame_digest(*samples[i].frame) << "ull},";
   }
 }
 
