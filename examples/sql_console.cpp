@@ -87,12 +87,18 @@ int main() {
   session.exec("SELECT * FROM nosuch WHERE id = 1");           // diagnosed
 
   // Snapshot/restore — the state-transfer path of ShadowDB's recovery.
-  const db::Engine::Snapshot snap = engine.snapshot();
   db::Engine replica(db::make_derby_traits());
-  replica.reset_for_restore(snap.schemas);
-  for (const auto& batch : snap.batches) replica.restore_batch(batch);
-  std::printf("\nsnapshot: %zu rows / %zu bytes shipped in %zu batches\n", snap.total_rows,
-              snap.total_bytes, snap.batches.size());
+  replica.reset_for_restore(engine.schemas());
+  std::size_t rows = 0;
+  std::size_t bytes = 0;
+  std::size_t batches = 0;
+  engine.serialize_rows(50 * 1024, {}, [&](db::Engine::SnapshotBatch&& batch) {
+    rows += batch.rows;
+    bytes += batch.data.size();
+    ++batches;
+    replica.restore_batch(batch);
+  });
+  std::printf("\nsnapshot: %zu rows / %zu bytes shipped in %zu batches\n", rows, bytes, batches);
   std::printf("restored into a %s replica; digests %s\n",
               replica.traits().name.c_str(),
               replica.state_digest() == engine.state_digest() ? "match" : "DIFFER");

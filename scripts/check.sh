@@ -5,9 +5,9 @@
 #   scripts/check.sh --fast     # tier-1 only (configure + build + ctest)
 #
 # Beyond tier-1 this runs:
-#   * a -Wall -Wextra -Werror build of shadow_net, shadow_obs, and
-#     shadow_wire in a separate build tree, so the transport and
-#     observability layers stay warning-clean;
+#   * a -Wall -Wextra -Werror build of every target (libraries, tests,
+#     benches, examples) in a separate build tree, so the whole tree stays
+#     warning-clean;
 #   * layering grep gates: protocol code (consensus, tob, core, baselines)
 #     must program against net::Transport/net::NodeContext only — no
 #     sim::Context and no sim/world.hpp includes — the consensus/TOB
@@ -15,7 +15,8 @@
 #     replication-blind (no repl/ includes), src/repl must never include
 #     sim/ or net/tcp, the versioned storage engine (src/db) must
 #     never include consensus/, tob/, or repl/ headers, state transfer
-#     keeps a single stream format, each message stays one contiguous
+#     keeps a single stream format serialized by one engine cursor (no
+#     materialized snapshot batch vector), each message stays one contiguous
 #     buffer (no scatter-gather byte layer), and PBR and chain replication
 #     keep one recovery core (no per-protocol recovery headers), one snapshot
 #     fetch session and one heartbeat detector serve every joiner, the TOB
@@ -109,6 +110,24 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "FAIL: a second snapshot stream format is back (use repl::StateTransfer::send_v2)" >&2
     exit 1
   fi
+  # One snapshot cursor: Engine::serialize_rows is the one loop that
+  # serializes rows for every stream (full, migration-filtered, delta) and
+  # hands each batch to the sender as it fills. No second serializing loop,
+  # and no materialized batch vector in the engine or in the sender half of
+  # state transfer (the buffering receiver and the migration rider keep
+  # theirs).
+  row_calls="$(grep -rnE '(^|[^A-Za-z_])serialize_row\(' src/db | grep -v 'void serialize_row(' || true)"
+  if [[ "$(grep -c . <<<"${row_calls}")" -ne 1 ]]; then
+    echo "FAIL: serialize_row( must have exactly one caller in src/db (Engine::serialize_rows):" >&2
+    echo "${row_calls}" >&2
+    exit 1
+  fi
+  batch_vec='std::vector<(db::)?(Engine::)?SnapshotBatch>'
+  if grep -rnE "${batch_vec}" src/db ||
+     sed '/^\/\/ -* receiver --$/q' src/repl/state_transfer.cpp | grep -nE "${batch_vec}"; then
+    echo "FAIL: a materialized snapshot is back (stream batches through Engine::serialize_rows)" >&2
+    exit 1
+  fi
   # One contiguous buffer per message: make_msg writes the whole frame once,
   # and framing a batch copies its encoded bytes. The scatter-gather layer
   # (segmented byte strings, writer splices, the segmented twins of the
@@ -189,10 +208,13 @@ if [[ "${1:-}" != "--fast" ]]; then
     exit 1
   fi
 
-  echo "== strict: -Wall -Wextra -Werror build of shadow_net + shadow_obs + shadow_wire =="
+  echo "== strict: -Wall -Wextra -Werror build of every target =="
+  # Keep the default build type: GCC 12's -Wrestrict and -Wstringop-overflow
+  # report false positives from inside libstdc++ headers at some other
+  # optimization settings, which says nothing about this tree.
   cmake -B build-strict -S . \
     -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror" >/dev/null
-  cmake --build build-strict -j --target shadow_net shadow_obs shadow_wire
+  cmake --build build-strict -j
 
   echo "== sanitizers: ASan+UBSan build + unit suites =="
   # Decoded batches are views into shared frame buffers, and borrowed views

@@ -36,7 +36,6 @@ void register_wire_codecs_impl() {
   // Total order broadcast service.
   reg.ensure<tob::BroadcastBody>(tob::kBroadcastHeader);
   reg.ensure<tob::AckBody>(tob::kAckHeader);
-  reg.ensure<tob::DeliverBody>(tob::kDeliverHeader);
   reg.ensure<tob::RelayBody>(tob::kRelayHeader);
 
   // Client/server transaction traffic.

@@ -83,7 +83,7 @@ class RecoveryCore {
     std::function<void()> reset;
     /// Winner only: the set of up-to-date members grew (the election ended
     /// here, or a member acknowledged its recovery). Optional.
-    std::function<void()> recovered;
+    std::function<void()> recovered{};
   };
 
   RecoveryCore(net::Transport& world, NodeId self, tob::TobNode& tob, TxnExecutor& executor,

@@ -339,7 +339,7 @@ struct ScanAccumulator {
   ExecResult& result;
   bool agg_init = false;
   std::int64_t count = 0;
-  Value agg;
+  Value agg{};
 
   void add(const Row& row) {
     switch (stmt.agg) {
@@ -587,46 +587,54 @@ std::size_t Engine::total_rows() const {
   return n;
 }
 
-Engine::Snapshot Engine::snapshot(std::size_t batch_bytes) const {
-  return snapshot_filtered(batch_bytes, nullptr);
-}
-
-Engine::Snapshot Engine::snapshot_filtered(
-    std::size_t batch_bytes,
-    const std::function<bool(const std::string&, const Key&)>& include) const {
-  Snapshot snap;
+std::uint64_t Engine::serialize_rows(std::size_t batch_bytes, const RowSelection& selection,
+                                     const BatchSink& sink) const {
+  SHADOW_REQUIRE_MSG(!selection.since || delta_valid(*selection.since),
+                     "delta requested below the tracking floor");
   double cost = 0.0;
   for (const auto& [name, table] : tables_) {
-    snap.schemas.push_back(table.schema);
+    const std::size_t cols = table.schema.columns.size();
     BytesWriter writer;
     std::size_t rows_in_batch = 0;
-    const std::size_t cols = table.schema.columns.size();
     auto flush = [&]() {
       if (rows_in_batch == 0) return;
-      SnapshotBatch batch;
-      batch.table = name;
-      batch.data = writer.take();
-      batch.rows = rows_in_batch;
-      snap.total_bytes += batch.data.size();
-      snap.total_rows += batch.rows;
-      snap.batches.push_back(std::move(batch));
+      sink(SnapshotBatch{name, writer.take(), rows_in_batch});
       writer = BytesWriter();
       rows_in_batch = 0;
     };
-    table.storage->scan([&](const Key& key, const StoredRow& stored) {
-      if (include && !include(name, key)) return true;
-      serialize_row(writer, stored.row);
+    auto add = [&](const Row& row) {
+      serialize_row(writer, row);
       ++rows_in_batch;
       cost += traits_.costs.snap_serialize_col_us * static_cast<double>(cols) +
-              traits_.costs.snap_serialize_byte_us *
-                  static_cast<double>(row_wire_size(stored.row));
+              traits_.costs.snap_serialize_byte_us * static_cast<double>(row_wire_size(row));
       if (writer.size() >= batch_bytes) flush();
+    };
+    // A delta is emitted in key order; hash storage visits rows unordered,
+    // so its selected rows are sorted first.
+    const bool sort = selection.since && !table.storage->ordered();
+    std::vector<std::pair<const Key*, const Row*>> selected;
+    table.storage->scan([&](const Key& key, const StoredRow& stored) {
+      if (selection.since && stored.touched <= *selection.since) return true;
+      if (selection.include && !selection.include(name, key)) return true;
+      if (sort) {
+        selected.emplace_back(&key, &stored.row);
+      } else {
+        add(stored.row);
+      }
       return true;
     });
+    std::sort(selected.begin(), selected.end(),
+              [](const auto& x, const auto& y) { return *x.first < *y.first; });
+    for (const auto& [key, row] : selected) add(*row);
     flush();
   }
-  snap.serialize_cost_us = static_cast<std::uint64_t>(cost);
-  return snap;
+  return static_cast<std::uint64_t>(cost);
+}
+
+std::vector<TableSchema> Engine::schemas() const {
+  std::vector<TableSchema> out;
+  for (const auto& [name, table] : tables_) out.push_back(table.schema);
+  return out;
 }
 
 std::uint64_t Engine::restore_batch(const SnapshotBatch& batch) {
@@ -673,46 +681,9 @@ void Engine::touch_absent(const std::string& table, const Key& key) {
   tombstones_[table][key] = state_version_;
 }
 
-Engine::DeltaSnapshot Engine::delta_snapshot(std::uint64_t since,
-                                             std::size_t batch_bytes) const {
-  SHADOW_REQUIRE_MSG(delta_valid(since), "delta requested below the tracking floor");
-  DeltaSnapshot delta;
-  double cost = 0.0;
-  for (const auto& [name, table] : tables_) {
-    const std::size_t cols = table.schema.columns.size();
-    // Deterministic emission: key order (hash storage visits unordered).
-    std::vector<std::pair<const Key*, const Row*>> touched;
-    table.storage->scan([&](const Key& key, const StoredRow& stored) {
-      if (stored.touched > since) touched.emplace_back(&key, &stored.row);
-      return true;
-    });
-    if (!table.storage->ordered()) {
-      std::sort(touched.begin(), touched.end(),
-                [](const auto& a, const auto& b) { return *a.first < *b.first; });
-    }
-    BytesWriter writer;
-    std::size_t rows_in_batch = 0;
-    auto flush = [&]() {
-      if (rows_in_batch == 0) return;
-      SnapshotBatch batch;
-      batch.table = name;
-      batch.data = writer.take();
-      batch.rows = rows_in_batch;
-      delta.total_bytes += batch.data.size();
-      delta.total_rows += batch.rows;
-      delta.upserts.push_back(std::move(batch));
-      writer = BytesWriter();
-      rows_in_batch = 0;
-    };
-    for (const auto& [key, row] : touched) {
-      serialize_row(writer, *row);
-      ++rows_in_batch;
-      cost += traits_.costs.snap_serialize_col_us * static_cast<double>(cols) +
-              traits_.costs.snap_serialize_byte_us * static_cast<double>(row_wire_size(*row));
-      if (writer.size() >= batch_bytes) flush();
-    }
-    flush();
-  }
+std::vector<std::pair<std::string, std::vector<Key>>> Engine::deleted_since(
+    std::uint64_t since) const {
+  std::vector<std::pair<std::string, std::vector<Key>>> out;
   for (const auto& [name, gone] : tombstones_) {
     std::vector<Key> keys;
     for (const auto& [key, version] : gone) {
@@ -720,11 +691,9 @@ Engine::DeltaSnapshot Engine::delta_snapshot(std::uint64_t since,
     }
     if (keys.empty()) continue;
     std::sort(keys.begin(), keys.end());
-    delta.total_deletes += keys.size();
-    delta.deletes.emplace_back(name, std::move(keys));
+    out.emplace_back(name, std::move(keys));
   }
-  delta.serialize_cost_us = static_cast<std::uint64_t>(cost);
-  return delta;
+  return out;
 }
 
 std::uint64_t Engine::restore_upsert_batch(const SnapshotBatch& batch) {

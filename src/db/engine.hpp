@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -103,26 +104,38 @@ class Engine {
   std::size_t waiting_count() const { return locks_.waiting_count(); }
 
   // -- snapshots / state transfer ----------------------------------------------
+  //
+  // A snapshot is never held whole: serialize_rows() is one cursor over the
+  // tables that fills one batch of serialized rows at a time and hands it to
+  // the caller's sink as soon as it reaches batch_bytes (the paper uses
+  // ~50 KB), so a sender frames each batch before the next one is filled.
   struct SnapshotBatch {
     std::string table;
     Bytes data;
     std::size_t rows = 0;
   };
-  struct Snapshot {
-    std::vector<SnapshotBatch> batches;
-    std::vector<TableSchema> schemas;
-    std::uint64_t serialize_cost_us = 0;
-    std::size_t total_bytes = 0;
-    std::size_t total_rows = 0;
+  /// Which rows serialize_rows() visits. `since` unset: every row, in each
+  /// table's storage scan order (a full copy). `since` set: the rows touched
+  /// after that version, in key order (a delta's upserts; requires
+  /// delta_valid(*since)). `include`, if set, keeps only the rows where
+  /// `include(table, key)` holds (shard rebalancing: the migrating range).
+  struct RowSelection {
+    std::optional<std::uint64_t> since{};
+    std::function<bool(const std::string&, const Key&)> include{};
   };
+  using BatchSink = std::function<void(SnapshotBatch&&)>;
 
-  /// Serializes all tables in ~batch_bytes chunks (the paper uses ~50 KB).
-  Snapshot snapshot(std::size_t batch_bytes = 50 * 1024) const;
-  /// Like snapshot(), but only rows where `include(table, key)` is true.
-  /// Used by shard rebalancing to serialize exactly the migrating range.
-  Snapshot snapshot_filtered(
-      std::size_t batch_bytes,
-      const std::function<bool(const std::string&, const Key&)>& include) const;
+  /// Serializes the selected rows table by table, passing each batch to
+  /// `sink` as it fills (a table's last batch may be short; a table without
+  /// selected rows yields none). Returns the serialize CPU cost, summed over
+  /// every row and truncated once.
+  std::uint64_t serialize_rows(std::size_t batch_bytes, const RowSelection& selection,
+                               const BatchSink& sink) const;
+  /// Every table's schema, in table order (a full stream's prologue).
+  std::vector<TableSchema> schemas() const;
+  /// Per table, in table order, the keys deleted after `since` (sorted): a
+  /// delta's deletion lists. Tables without such keys are left out.
+  std::vector<std::pair<std::string, std::vector<Key>>> deleted_since(std::uint64_t since) const;
   /// Applies one batch; returns the CPU cost (row insertion dominates).
   std::uint64_t restore_batch(const SnapshotBatch& batch);
   /// Installs schemas and clears data (start of a full state transfer).
@@ -135,9 +148,10 @@ class Engine {
   // every replica of a group). Every mutation stamps the current version on
   // what it leaves behind: on the row's storage entry if the key is present
   // (StoredRow::touched), in a per-table tombstone map if it is absent. A
-  // delta snapshot "since V" then ships exactly the rows stamped after V plus
-  // the keys tombstoned after V — a receiver whose state matches version V
-  // reaches the sender's state by upserting/deleting them.
+  // delta "since V" then ships exactly the rows stamped after V
+  // (serialize_rows with `since`) plus the keys tombstoned after V
+  // (deleted_since) — a receiver whose state matches version V reaches the
+  // sender's state by upserting/deleting them.
 
   /// Sets the current state version; mutations stamp their keys with it.
   void set_state_version(std::uint64_t v) { state_version_ = v; }
@@ -156,16 +170,6 @@ class Engine {
   }
   bool delta_valid(std::uint64_t since) const { return since >= delta_floor_; }
 
-  struct DeltaSnapshot {
-    std::vector<SnapshotBatch> upserts;  // current rows of keys touched after `since`
-    std::vector<std::pair<std::string, std::vector<Key>>> deletes;  // per table
-    std::uint64_t serialize_cost_us = 0;
-    std::size_t total_bytes = 0;
-    std::size_t total_rows = 0;
-    std::size_t total_deletes = 0;
-  };
-  /// Requires delta_valid(since). Deterministic (keys emitted in order).
-  DeltaSnapshot delta_snapshot(std::uint64_t since, std::size_t batch_bytes = 50 * 1024) const;
   /// Applies a delta batch: insert-or-overwrite each row. Returns CPU cost.
   std::uint64_t restore_upsert_batch(const SnapshotBatch& batch);
   /// Applies a delta's deletions for one table. Returns CPU cost.

@@ -21,30 +21,25 @@ constexpr double kDecompressByteUs = 0.001;
 /// profitable, and sends it. Keeps the raw bytes when compression does not
 /// shrink them, so a frame never inflates.
 void send_batch2(net::NodeContext& ctx, NodeId to, const StateTransfer::SendV2& spec,
-                 const db::Engine::SnapshotBatch& batch, std::uint8_t base_flags,
-                 SendStats& stats) {
-  SnapBatch2Body body;
-  body.table = batch.table;
-  body.flags = base_flags;
-  body.raw_len = static_cast<std::uint32_t>(batch.data.size());
-  body.rows = batch.rows;
-  body.tag = spec.tag;
+                 db::Engine::SnapshotBatch&& batch, std::uint8_t flags, SendStats& stats) {
+  const std::size_t raw_len = batch.data.size();
+  Bytes payload = std::move(batch.data);
   if (spec.compress) {
-    Bytes packed = compress_block(batch.data);
-    ctx.charge(static_cast<net::Time>(kCompressByteUs * static_cast<double>(batch.data.size())));
-    if (!packed.empty() && packed.size() < batch.data.size()) {
-      body.flags |= kBatchCompressed;
-      body.payload = std::move(packed);
-    } else {
-      body.payload = batch.data;
+    Bytes packed = compress_block(payload);
+    ctx.charge(static_cast<net::Time>(kCompressByteUs * static_cast<double>(raw_len)));
+    if (!packed.empty() && packed.size() < raw_len) {
+      flags |= kBatchCompressed;
+      payload = std::move(packed);
     }
-  } else {
-    body.payload = batch.data;
   }
-  stats.raw_bytes += batch.data.size();
-  stats.wire_bytes += body.payload.size();
+  stats.raw_bytes += raw_len;
+  stats.wire_bytes += payload.size();
+  stats.rows += batch.rows;
   ++stats.frames;
-  ctx.send(to, net::make_msg(spec.headers.batch, std::move(body)));
+  ctx.send(to, net::make_msg(spec.headers.batch,
+                             SnapBatch2Body{std::move(batch.table), flags,
+                                            static_cast<std::uint32_t>(raw_len), batch.rows,
+                                            std::move(payload), spec.tag}));
 }
 
 }  // namespace
@@ -52,55 +47,40 @@ void send_batch2(net::NodeContext& ctx, NodeId to, const StateTransfer::SendV2& 
 SendStats StateTransfer::send_v2(net::NodeContext& ctx, const db::Engine& engine,
                                  NodeId to, SendV2 spec) {
   SendStats stats;
-  SnapDone2Body done = spec.done_base;
-  done.tag = spec.tag;
   // Delta only when the receiver's base is still covered by dirty tracking
   // and not ahead of us (a filtered copy always ships the range in full).
-  const bool use_delta = spec.delta_since.has_value() && !spec.filter &&
-                         engine.delta_valid(*spec.delta_since) &&
-                         *spec.delta_since <= engine.state_version();
-  if (use_delta) {
-    const db::Engine::DeltaSnapshot delta =
-        engine.delta_snapshot(*spec.delta_since, spec.batch_bytes);
-    ctx.charge(delta.serialize_cost_us);
-    if (spec.tracer) {
-      spec.tracer->state_transfer(ctx.now(), ctx.self(), obs::StatePhase::kBegin, 0, to);
-      spec.tracer->count("repl.delta_hits");
-    }
-    SnapBegin2Body begin = spec.begin_base;  // no schemas: the receiver keeps its tables
-    begin.mode = static_cast<std::uint8_t>(TransferMode::kDelta);
-    begin.state_version = engine.state_version();
-    begin.tag = spec.tag;
-    ctx.send(to, net::make_msg(spec.headers.begin, std::move(begin)));
-    for (const auto& batch : delta.upserts) {
-      send_batch2(ctx, to, spec, batch, kBatchDeltaUpsert, stats);
-    }
-    for (const auto& [table, keys] : delta.deletes) {
-      ctx.send(to, net::make_msg(spec.headers.deletes, SnapDelete2Body{table, keys, spec.tag}));
+  stats.delta = spec.delta_since.has_value() && !spec.filter &&
+                engine.delta_valid(*spec.delta_since) &&
+                *spec.delta_since <= engine.state_version();
+  if (spec.tracer) {
+    spec.tracer->state_transfer(ctx.now(), ctx.self(), obs::StatePhase::kBegin, 0, to);
+    if (stats.delta) spec.tracer->count("repl.delta_hits");
+  }
+  SnapBegin2Body begin = spec.begin_base;
+  // A delta carries no schemas: the receiver keeps its tables.
+  if (!stats.delta) begin.schemas = engine.schemas();
+  begin.mode = static_cast<std::uint8_t>(stats.delta ? TransferMode::kDelta : TransferMode::kFull);
+  begin.state_version = engine.state_version();
+  begin.tag = spec.tag;
+  ctx.send(to, net::make_msg(spec.headers.begin, std::move(begin)));
+
+  const db::Engine::RowSelection selection{
+      .since = stats.delta ? spec.delta_since : std::nullopt, .include = spec.filter};
+  const std::uint8_t flags = stats.delta ? kBatchDeltaUpsert : 0;
+  ctx.charge(engine.serialize_rows(spec.batch_bytes, selection,
+                                   [&](db::Engine::SnapshotBatch&& batch) {
+                                     send_batch2(ctx, to, spec, std::move(batch), flags, stats);
+                                   }));
+  if (stats.delta) {
+    for (auto& [table, keys] : engine.deleted_since(*spec.delta_since)) {
+      ctx.send(to, net::make_msg(spec.headers.deletes,
+                                 SnapDelete2Body{std::move(table), std::move(keys), spec.tag}));
       ++stats.frames;
     }
-    stats.rows = delta.total_rows;
-    stats.delta = true;
-  } else {
-    const db::Engine::Snapshot snap =
-        spec.filter ? engine.snapshot_filtered(spec.batch_bytes, spec.filter)
-                    : engine.snapshot(spec.batch_bytes);
-    ctx.charge(snap.serialize_cost_us);
-    if (spec.tracer) {
-      spec.tracer->state_transfer(ctx.now(), ctx.self(), obs::StatePhase::kBegin, 0, to);
-    }
-    SnapBegin2Body begin = spec.begin_base;
-    begin.schemas = snap.schemas;
-    begin.mode = static_cast<std::uint8_t>(TransferMode::kFull);
-    begin.state_version = engine.state_version();
-    begin.tag = spec.tag;
-    ctx.send(to, net::make_msg(spec.headers.begin, std::move(begin)));
-    for (const auto& batch : snap.batches) {
-      send_batch2(ctx, to, spec, batch, 0, stats);
-    }
-    stats.rows = snap.total_rows;
   }
   if (spec.mid_stream) spec.mid_stream();
+  SnapDone2Body done = spec.done_base;
+  done.tag = spec.tag;
   done.rows = stats.rows;
   done.frames = stats.frames;
   ctx.send(to, net::make_msg(spec.headers.done, std::move(done)));

@@ -8,11 +8,11 @@
 //   * shard-range migration (core/migrate.cpp)
 //
 // A transfer is one `begin` message (schemas + dedup floor + protocol
-// bookkeeping + the sender's state version), N ~50 KB row batches, optional
-// protocol riders, and one `done`. The protocols differ only in which headers
-// the stream is mounted on and what they do at the endpoints, so they pass a
-// StreamHeaders set plus begin/done templates and keep their own epilogue
-// logic.
+// bookkeeping + the sender's state version), N ~50 KB row batches (each sent
+// as soon as the engine has serialized it), optional protocol riders, and
+// one `done`. The protocols differ only in which headers the stream is
+// mounted on and what they do at the endpoints, so they pass a StreamHeaders
+// set plus begin/done templates and keep their own epilogue logic.
 //
 // Every receiving side mounts one FetchSession. It owns the frame dispatch
 // (by header and stream tag), the frame-count gap check at `done`, the
@@ -92,10 +92,12 @@ class StateTransfer {
     obs::Tracer* tracer = nullptr;
   };
 
-  /// Serializes the database (cost charged here), traces kBegin, and streams
-  /// begin / batches / rider / done — full or delta, optionally compressed —
-  /// then bumps the repl.bytes_raw / repl.bytes_wire / repl.delta_hits
-  /// counters on the sender's tracer.
+  /// Traces kBegin and sends `begin`, then frames and sends each row batch
+  /// as the engine's cursor (db::Engine::serialize_rows) fills it — full or
+  /// delta, optionally compressed — so no snapshot is ever held whole. The
+  /// serialize cost is charged once, after the last batch. Then come a
+  /// delta's deletion lists, the riders and `done`, and the repl.bytes_raw /
+  /// repl.bytes_wire / repl.delta_hits counters on the sender's tracer.
   static SendStats send_v2(net::NodeContext& ctx, const db::Engine& engine,
                            NodeId to, SendV2 spec);
 

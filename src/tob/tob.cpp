@@ -335,20 +335,13 @@ void TobNode::deliver_ready(net::NodeContext& ctx) {
       // failover windows, and clients deduplicate by sequence number).
       ack_and_retire_pending(ctx, key, slot);
     }
-    // Whole-slot subscribers (local batch subscriber and remote tob-deliver)
-    // get the decided sub-frame as-is — the same bytes consensus agreed on,
-    // never re-encoded; only a slot containing duplicates (client
-    // retries) needs a fresh sub-frame for the delivered subset.
-    if (!fresh.empty() && (batch_subscriber_ || !remote_subscribers_.empty())) {
-      const EncodedBatch out = fresh.size() == batch.size() ? encoded
-                                                            : EncodedBatch{std::move(fresh)};
-      if (batch_subscriber_) batch_subscriber_(ctx, slot, base_index, out);
-      if (!remote_subscribers_.empty()) {
-        const DeliverBody body{slot, base_index, out};
-        for (NodeId sub : remote_subscribers_) {
-          ctx.send(sub, net::make_msg(kDeliverHeader, body));
-        }
-      }
+    // The whole-slot batch subscriber gets the decided sub-frame as-is — the
+    // same bytes consensus agreed on, never re-encoded; only a slot
+    // containing duplicates (client retries) needs a fresh sub-frame for the
+    // delivered subset.
+    if (!fresh.empty() && batch_subscriber_) {
+      batch_subscriber_(ctx, slot, base_index,
+                        fresh.size() == batch.size() ? encoded : EncodedBatch{std::move(fresh)});
     }
     ++next_deliver_slot_;
     module_->set_delivered(next_deliver_slot_);

@@ -11,7 +11,7 @@
 //   * the receiving node buffers the command and proposes a batch of pending
 //     commands for the next free slot once the batching window closes;
 //   * on a slot decision, commands are delivered in slot order: pushed to
-//     local/remote subscribers, and the origin node sends a `tob-ack` to the
+//     local subscribers, and the origin node sends a `tob-ack` to the
 //     command's original sender; the slot's decision is then forgotten and
 //     the new delivery frontier is reported to the consensus module, which
 //     forgets what every peer has delivered (consensus/paxos.hpp);
@@ -60,7 +60,6 @@ using consensus::EncodedBatch;
 /// Message headers of the service's external interface.
 inline constexpr const char* kBroadcastHeader = "tob-broadcast";
 inline constexpr const char* kAckHeader = "tob-ack";
-inline constexpr const char* kDeliverHeader = "tob-deliver";
 /// Internal: commands forwarded from a frontend to the preferred proposer.
 inline constexpr const char* kRelayHeader = "tob-relay";
 
@@ -74,15 +73,6 @@ struct AckBody {
   ClientId client{};
   RequestSeq seq = 0;
   Slot slot = 0;
-};
-
-/// Body of tob-deliver (push to remote subscribers): one message per decided
-/// slot, carrying the delivered commands as the original encoded sub-frame
-/// (the i-th command in `batch` has global delivery index `base_index + i`).
-struct DeliverBody {
-  Slot slot = 0;
-  std::uint64_t base_index = 0;  // global delivery index of batch[0]
-  EncodedBatch batch;
 };
 
 /// Body of tob-relay: commands relayed from a non-proposing service node to
@@ -155,9 +145,6 @@ class TobNode {
 
   /// The live adaptive proposal cap (== batch_max when adaptation is off).
   std::size_t batch_limit() const { return batch_limit_; }
-
-  /// Remote subscriber: receives tob-deliver messages for every delivery.
-  void add_remote_subscriber(NodeId node) { remote_subscribers_.push_back(node); }
 
   /// Commands delivered since the last rejoin (since construction if none).
   std::uint64_t delivered_count() const { return delivered_count_; }
@@ -271,7 +258,6 @@ class TobNode {
   std::size_t batch_limit_ = 0;  // live adaptive cap, set in the constructor
   std::string adaptive_metric_;  // metric_scope + "net.batch_size_adaptive"
   std::string encode_metric_;    // metric_scope + "net.batch_encode_count"
-  std::vector<NodeId> remote_subscribers_;
   bool tick_armed_ = false;
 };
 
@@ -297,10 +283,6 @@ struct Codec<tob::BroadcastBody> : Fields<&tob::BroadcastBody::command> {};
 template <>
 struct Codec<tob::AckBody>
     : Fields<&tob::AckBody::client, &tob::AckBody::seq, &tob::AckBody::slot> {};
-
-template <>
-struct Codec<tob::DeliverBody>
-    : Fields<&tob::DeliverBody::slot, &tob::DeliverBody::base_index, &tob::DeliverBody::batch> {};
 
 template <>
 struct Codec<tob::RelayBody> : Fields<&tob::RelayBody::batch, &tob::RelayBody::origins> {};

@@ -25,7 +25,6 @@ namespace shadow::testing {
 /// The encoded batch bytes a message body carries.
 inline std::uint64_t batch_bytes(const net::Message& m) {
   if (const auto* b = net::msg_body_if<tob::RelayBody>(m)) return b->batch.payload_size();
-  if (const auto* b = net::msg_body_if<tob::DeliverBody>(m)) return b->batch.payload_size();
   if (const auto* b = net::msg_body_if<consensus::ProposeBody>(m)) return b->batch.payload_size();
   if (const auto* b = net::msg_body_if<consensus::P2aBody>(m)) {
     return b->pvalue.batch.payload_size();

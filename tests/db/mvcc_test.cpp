@@ -211,13 +211,12 @@ struct DeltaKeys {
 };
 
 DeltaKeys delta_keys(const Engine& engine, std::uint64_t since) {
-  const Engine::DeltaSnapshot delta = engine.delta_snapshot(since);
   DeltaKeys out;
-  for (const Engine::SnapshotBatch& batch : delta.upserts) {
+  engine.serialize_rows(50 * 1024, {.since = since}, [&](Engine::SnapshotBatch&& batch) {
     BytesReader reader(batch.data);
     while (!reader.done()) out.upserts.push_back(deserialize_row(reader)[0].as_int());
-  }
-  for (const auto& [table, keys] : delta.deletes) {
+  });
+  for (const auto& [table, keys] : engine.deleted_since(since)) {
     for (const Key& key : keys) out.deletes.push_back(key[0].as_int());
   }
   return out;
@@ -272,9 +271,12 @@ TEST_F(MvccTest, DeltaAfterRolledBackInsertShipsNoRow) {
 TEST_F(MvccTest, RestoredEngineDeltaHoldsOnlyPostRestoreTouches) {
   for (std::int64_t k = 0; k < 10; ++k) put_at(1, k, k);
   update_at(2, 3, 33);
-  const Engine::Snapshot snap = engine_.snapshot();
-  engine_.reset_for_restore(snap.schemas);
-  for (const Engine::SnapshotBatch& b : snap.batches) engine_.restore_batch(b);
+  std::vector<Engine::SnapshotBatch> batches;
+  engine_.serialize_rows(50 * 1024, {}, [&](Engine::SnapshotBatch&& b) {
+    batches.push_back(std::move(b));
+  });
+  engine_.reset_for_restore(engine_.schemas());
+  for (const Engine::SnapshotBatch& b : batches) engine_.restore_batch(b);
   engine_.set_delta_floor(2);
   engine_.set_state_version(2);
   EXPECT_FALSE(engine_.delta_valid(1));

@@ -128,7 +128,9 @@ class TcpClusterE2eTest : public ::testing::TestWithParam<Mode> {
 
     // Topology frozen: hand the sockets to this "process"'s I/O thread. The
     // test thread remains the consensus thread of all four transports.
-    if (pipelined()) ASSERT_TRUE(t.start_pipeline());
+    if (pipelined()) {
+      ASSERT_TRUE(t.start_pipeline());
+    }
   }
 
   /// Round-robin event-loop pump across all "processes".

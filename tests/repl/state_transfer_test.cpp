@@ -240,12 +240,13 @@ std::uint64_t digest_frames(const std::vector<std::pair<std::string, Bytes>>& fr
 /// receiver dispatches frames into a Receiver state machine.
 struct StreamFixture {
   sim::World world{1};
-  db::Engine sender{db::make_h2_traits()};
-  db::Engine receiver{db::make_h2_traits()};
+  db::Engine sender;
+  db::Engine receiver;
   NodeId sender_node;
   NodeId receiver_node;
   StateTransfer::Receiver rx;
   SendStats stats;
+  net::Time charge = 0;  // the last send handler's virtual CPU (completion - start)
   std::uint64_t finished_order = 0;
   bool finished = false;
   obs::Tracer tracer{{.capacity = 1 << 16, .record_messages = false}};
@@ -255,7 +256,8 @@ struct StreamFixture {
   static constexpr const char* kDone = "t-done";
   static constexpr const char* kDel = "t-del";
 
-  StreamFixture() {
+  explicit StreamFixture(const db::EngineTraits& traits = db::make_h2_traits())
+      : sender(traits), receiver(traits) {
     sender_node = world.add_node("sender");
     receiver_node = world.add_node("receiver");
     rx = StateTransfer::Receiver({&tracer, receiver_node});
@@ -287,10 +289,12 @@ struct StreamFixture {
   void send(StateTransfer::SendV2 spec) {
     world.set_handler(sender_node,
                       [this, spec = std::move(spec)](net::NodeContext& ctx, const net::Message&) {
+                        const net::Time start = ctx.now();
                         auto s = spec;
                         s.headers = {kBegin, kBatch, kDone, kDel};
                         s.tracer = &tracer;
                         stats = StateTransfer::send_v2(ctx, sender, receiver_node, s);
+                        charge = ctx.now() - start;
                       });
     world.post(receiver_node, sender_node, net::make_signal("go"));
     world.run_until(world.now() + 10000000);
@@ -346,6 +350,7 @@ TEST(ReplStateTransfer, FullStreamMatchesGoldenDigestAndRestores) {
   EXPECT_EQ(digest, kFullStreamGoldenDigest)
       << "state-transfer wire bytes changed (got 0x" << std::hex << digest
       << "); this is a wire-format break";
+  EXPECT_EQ(fx.charge, 1348u) << "the sender's virtual charge for this stream moved";
 }
 
 TEST(ReplStateTransfer, V2CompressedFullStreamRestoresAndShrinks) {
@@ -421,9 +426,12 @@ TEST(ReplStateTransfer, V2DeltaRequestBelowFloorFallsBackToFull) {
   fx.sender.set_state_version(4);
   for (std::int64_t k = 0; k < 50; ++k) put(fx.sender, k, k);
   // A restored engine cannot serve deltas below its floor.
-  const db::Engine::Snapshot snap = fx.sender.snapshot();
-  fx.sender.reset_for_restore(snap.schemas);
-  for (const auto& b : snap.batches) fx.sender.restore_batch(b);
+  std::vector<db::Engine::SnapshotBatch> batches;
+  fx.sender.serialize_rows(50 * 1024, {}, [&](db::Engine::SnapshotBatch&& b) {
+    batches.push_back(std::move(b));
+  });
+  fx.sender.reset_for_restore(fx.sender.schemas());
+  for (const auto& b : batches) fx.sender.restore_batch(b);
   fx.sender.set_delta_floor(4);
   fx.sender.set_state_version(4);
 
@@ -451,6 +459,147 @@ TEST(ReplStateTransfer, DroppedFrameLeavesStreamIncomplete) {
   // runs, the receiver still awaits, and a real protocol re-requests.
   EXPECT_FALSE(fx.finished);
   EXPECT_TRUE(fx.rx.awaiting());
+}
+
+// ------------------------------------------------- stream and charge pins --
+//
+// The stream shapes the golden digest does not cover, pinned the same way
+// (headers plus every encoded body byte, in order), each with the sender's
+// virtual charge: the handler's completion time minus its start. Any change
+// to batch cut points, frame order, row order or the charged cost moves one
+// of these values. The serialize cost is summed over the whole stream and
+// truncated once; truncating it per batch moves every charge below.
+
+db::TableSchema tag_schema() {
+  return db::TableSchema{"tags",
+                         {{"name", db::ColumnType::kVarchar}, {"n", db::ColumnType::kBigInt}},
+                         {0}};
+}
+
+void put_tag(db::Engine& e, const std::string& name, std::int64_t n) {
+  const db::TxnId t = e.begin();
+  ASSERT_TRUE(e.execute(t, db::make_insert("tags", {db::Value(name), db::Value(n)})).ok());
+  ASSERT_TRUE(e.commit(t).ok());
+}
+
+void erase_tag(db::Engine& e, const std::string& name) {
+  const db::TxnId t = e.begin();
+  ASSERT_TRUE(e.execute(t, db::make_delete("tags", {db::Value(name)})).ok());
+  ASSERT_TRUE(e.commit(t).ok());
+}
+
+/// The two-table database the pinned streams serialize, at version 5.
+void load_two_tables(db::Engine& e) {
+  e.create_table(kv_schema());
+  e.create_table(tag_schema());
+  e.set_state_version(5);
+  for (std::int64_t k = 0; k < 240; ++k) {
+    put(e, k, k * 7, "row-" + std::to_string(k) + "-padding-padding");
+  }
+  for (std::int64_t i = 0; i < 120; ++i) put_tag(e, "tag-" + std::to_string((i * 37) % 120), i);
+}
+
+/// Digest of the stream frames `log` recorded from index `from` on (the
+/// sender's kick-off signal excluded).
+std::uint64_t stream_digest(const FrameLog& log, std::size_t from = 0) {
+  std::vector<std::pair<std::string, Bytes>> stream;
+  for (std::size_t i = from; i < log.frames.size(); ++i) {
+    if (log.frames[i].first != "go") stream.push_back(log.frames[i]);
+  }
+  return digest_frames(stream);
+}
+
+TEST(ReplStreamPins, FilteredFullStream) {
+  // A migration-style copy: only the matching rows of each table.
+  StreamFixture fx;
+  load_two_tables(fx.sender);
+  FrameLog log;
+  fx.world.add_observer(&log);
+  fx.wire_receiver();
+
+  StateTransfer::SendV2 spec;
+  spec.batch_bytes = 1024;
+  spec.tag = 4;
+  spec.filter = [](const std::string& table, const db::Key& key) {
+    return table == "kv" ? key[0].as_int() % 3 == 0 : key[0].as_string() < "tag-6";
+  };
+  fx.send(std::move(spec));
+
+  ASSERT_TRUE(fx.finished);
+  // 80 kv keys divisible by 3; 76 tag names below "tag-6" (0-5, 10-59, 100-119).
+  EXPECT_EQ(fx.stats.rows, 80u + 76u);
+  EXPECT_EQ(fx.receiver.total_rows(), 80u + 76u);
+  EXPECT_EQ(fx.stats.frames, 6u);
+  EXPECT_EQ(stream_digest(log), 0x9b02f6e73b657a47ULL) << std::hex << stream_digest(log);
+  EXPECT_EQ(fx.charge, 1828u);
+}
+
+/// A full copy brings the receiver to version 5, then upserts and deletes
+/// land in both tables at version 6 and a delta since 5 is streamed.
+void run_delta_pin(const db::EngineTraits& traits, std::uint64_t digest, net::Time charge) {
+  StreamFixture fx(traits);
+  load_two_tables(fx.sender);
+  FrameLog log;
+  fx.world.add_observer(&log);
+  fx.wire_receiver();
+  fx.send(StateTransfer::SendV2{});
+  ASSERT_TRUE(fx.finished);
+
+  fx.sender.set_state_version(6);
+  for (std::int64_t k = 200; k > 100; k -= 3) bump(fx.sender, k, 1000);
+  for (std::int64_t k = 0; k < 240; k += 17) erase(fx.sender, k);
+  for (std::int64_t k = 400; k > 300; k -= 9) put(fx.sender, k, -k, "fresh-" + std::to_string(k));
+  for (std::int64_t i = 0; i < 120; i += 11) erase_tag(fx.sender, "tag-" + std::to_string(i));
+  for (std::int64_t i = 0; i < 30; ++i) {
+    put_tag(fx.sender, "new-" + std::to_string((i * 7) % 30), i);
+  }
+
+  fx.finished = false;
+  fx.rx = StateTransfer::Receiver({&fx.tracer, fx.receiver_node});
+  const std::size_t from = log.frames.size();
+  StateTransfer::SendV2 spec;
+  spec.batch_bytes = 1024;
+  spec.delta_since = 5;
+  fx.send(std::move(spec));
+
+  ASSERT_TRUE(fx.finished);
+  EXPECT_TRUE(fx.stats.delta);
+  // 34 bumped kv rows less the 2 (119, 170) deleted after, 12 inserted kv
+  // rows, 30 inserted tags.
+  EXPECT_EQ(fx.stats.rows, 32u + 12u + 30u);
+  EXPECT_EQ(fx.receiver.state_digest(), fx.sender.state_digest());
+  EXPECT_EQ(stream_digest(log, from), digest) << std::hex << stream_digest(log, from);
+  EXPECT_EQ(fx.charge, charge);
+}
+
+TEST(ReplStreamPins, DeltaStreamOnHashStorage) {
+  // Hash storage visits rows unordered; the delta sorts them by key.
+  run_delta_pin(db::make_h2_traits(), 0x89ad329a0220faa5ULL, 891u);
+}
+
+TEST(ReplStreamPins, DeltaStreamOnOrderedStorage) {
+  // Ordered storage visits rows in key order already: the same stream.
+  run_delta_pin(db::make_hsqldb_traits(), 0x89ad329a0220faa5ULL, 891u);
+}
+
+TEST(ReplStreamPins, CompressedFullStream) {
+  StreamFixture fx;
+  load_two_tables(fx.sender);
+  FrameLog log;
+  fx.world.add_observer(&log);
+  fx.wire_receiver();
+
+  StateTransfer::SendV2 spec;
+  spec.batch_bytes = 4096;
+  spec.compress = true;
+  fx.send(std::move(spec));
+
+  ASSERT_TRUE(fx.finished);
+  EXPECT_EQ(fx.stats.rows, 360u);
+  EXPECT_LT(fx.stats.wire_bytes, fx.stats.raw_bytes);
+  EXPECT_EQ(fx.receiver.state_digest(), fx.sender.state_digest());
+  EXPECT_EQ(stream_digest(log), 0xc740a9baf001c769ULL) << std::hex << stream_digest(log);
+  EXPECT_EQ(fx.charge, 4562u);
 }
 
 TEST(ReplStateTransfer, UnwrapRejectsMalformedCompressedPayload) {

@@ -110,9 +110,6 @@ std::vector<sim::Message> sample_messages() {
                                   tob::BroadcastBody{sample_command(11)}));
   samples.push_back(sim::make_msg(tob::kAckHeader, tob::AckBody{ClientId{9}, 11, 2}));
   samples.push_back(sim::make_msg(
-      tob::kDeliverHeader,
-      tob::DeliverBody{9, 3, consensus::EncodedBatch{consensus::Batch{sample_command(11)}}}));
-  samples.push_back(sim::make_msg(
       tob::kRelayHeader,
       tob::RelayBody{consensus::EncodedBatch{consensus::Batch{sample_command(12)}},
                      {NodeId{4}}}));
@@ -312,7 +309,6 @@ TEST(WireCodec, EveryRegisteredTypeEncodesToPinnedBytes) {
       {"2/3-decide", 0x2cb18352908dfa85ull},
       {"tob-broadcast", 0x5870d0726f20bbe3ull},
       {"tob-ack", 0xa4457fc1dbc5c0cdull},
-      {"tob-deliver", 0x4070e13f7b168b96ull},
       {"tob-relay", 0xe7f268f10c077828ull},
       {"txn-request", 0x98b537bbfd0a16a4ull},
       {"txn-response", 0x0657960f126f2597ull},

@@ -11,9 +11,10 @@
 #include <vector>
 
 #include "consensus/types.hpp"
+#include "core/replica_common.hpp"
+#include "core/smr.hpp"
 #include "obs/trace.hpp"
 #include "sim/world.hpp"
-#include "tob/tob.hpp"
 #include "wire/codec.hpp"
 #include "wire/framing.hpp"
 
@@ -29,7 +30,7 @@ consensus::Batch sample_batch(std::size_t n, std::size_t payload_len = 32) {
   return batch;
 }
 
-/// Byte offset of the batch payload inside a tob-deliver frame:
+/// Byte offset of the batch payload inside an smr-deliver-batch frame:
 /// [24-byte prologue][header][slot u64][base_index u64][count u32][len u32].
 std::size_t deliver_payload_offset(const std::string& header) {
   return kFrameOverhead + header.size() + 8 + 8 + 4 + 4;
@@ -95,14 +96,14 @@ TEST(ZeroCopySubFrame, FiveHopsReframeByteIdenticallyWithoutReencoding) {
   const consensus::EncodedBatch origin{sample_batch(8)};
   const SpliceStats base = splice_stats();
 
-  const Bytes first = encode_body(tob::DeliverBody{3, 0, origin});
+  const Bytes first = encode_body(core::DeliverBatchHandoff{3, 0, origin});
   ByteView prev = ByteView::owning(Bytes(first));
   consensus::EncodedBatch last = origin;
   for (int hop = 0; hop < 5; ++hop) {
-    const tob::DeliverBody received = decode_body<tob::DeliverBody>(prev);
+    const core::DeliverBatchHandoff received = decode_body<core::DeliverBatchHandoff>(prev);
     EXPECT_EQ(received.batch.payload().owner(), prev.owner()) << "hop " << hop << " copied";
     last = received.batch;
-    prev = ByteView::owning(encode_body(tob::DeliverBody{3, 0, received.batch}));
+    prev = ByteView::owning(encode_body(core::DeliverBatchHandoff{3, 0, received.batch}));
     EXPECT_TRUE(prev == ByteView::borrowed(first)) << "hop " << hop << " changed the bytes";
   }
   EXPECT_EQ(last.commands(), origin.commands());
@@ -119,9 +120,9 @@ TEST(ZeroCopySubFrame, DecodedBatchSharesTheReceivedFrameBuffer) {
   // (the socket read). Decoding must hand the batch payload back as a view
   // into that buffer — the same bytes, not a copy.
   const consensus::EncodedBatch batch{sample_batch(6, 48)};
-  const std::string header = tob::kDeliverHeader;
+  const std::string header = core::kSmrDeliverBatchHeader;
   const OwnedBytes frame = std::make_shared<const Bytes>(
-      encode_frame(header, encode_body(tob::DeliverBody{4, 0, batch})));
+      encode_frame(header, encode_body(core::DeliverBatchHandoff{4, 0, batch})));
 
   const SpliceStats base = splice_stats();
   FrameView view;
@@ -129,7 +130,7 @@ TEST(ZeroCopySubFrame, DecodedBatchSharesTheReceivedFrameBuffer) {
   EXPECT_EQ(view.header, header);
 
   BytesReader r(ByteView(frame, kFrameOverhead + header.size(), view.body.size()));
-  const tob::DeliverBody decoded = Codec<tob::DeliverBody>::decode(r);
+  const core::DeliverBatchHandoff decoded = Codec<core::DeliverBatchHandoff>::decode(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.batch, batch);
 
@@ -148,8 +149,9 @@ TEST(ZeroCopySubFrame, FlippedByteInsideTheSplicedSubFrameFailsTheChecksum) {
   // other payload damage: the frame checksum covers the sub-frame bytes, so
   // a single flipped bit anywhere in the batch payload kills the frame.
   const consensus::EncodedBatch batch{sample_batch(4, 100)};
-  const std::string header = tob::kDeliverHeader;
-  const Bytes pristine = encode_frame(header, encode_body(tob::DeliverBody{2, 7, batch}));
+  const std::string header = core::kSmrDeliverBatchHeader;
+  const Bytes pristine =
+      encode_frame(header, encode_body(core::DeliverBatchHandoff{2, 7, batch}));
 
   const std::size_t payload_offset = deliver_payload_offset(header);
   const std::size_t payload_len = batch.payload_size();
@@ -191,7 +193,8 @@ TEST(ZeroCopySubFrame, CorruptedSubFrameIsDroppedAndTracedAsMsgDrop) {
     one.push_back(consensus::Command{ClientId{3}, i + 1, std::string(4096, 'z')});
     const consensus::EncodedBatch batch{std::move(one)};
     payload_bytes += batch.payload_size();
-    world.post(a, b, sim::make_msg(tob::kDeliverHeader, tob::DeliverBody{i, i, batch}));
+    world.post(a, b,
+               sim::make_msg(core::kSmrDeliverBatchHeader, core::DeliverBatchHandoff{i, i, batch}));
   }
   world.run_until(10000000);
 
