@@ -573,8 +573,9 @@ void run_delta_pin(const db::EngineTraits& traits, std::uint64_t digest, net::Ti
 }
 
 TEST(ReplStreamPins, DeltaStreamOnHashStorage) {
-  // Hash storage visits rows unordered; the delta sorts them by key.
-  run_delta_pin(db::make_h2_traits(), 0x89ad329a0220faa5ULL, 891u);
+  // Hash storage (the MySQL memory engine's layout) visits rows unordered;
+  // the delta sorts them by key.
+  run_delta_pin(db::make_mysql_memory_traits(), 0x89ad329a0220faa5ULL, 891u);
 }
 
 TEST(ReplStreamPins, DeltaStreamOnOrderedStorage) {
