@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 
 #include "common/check.hpp"
 #include "obs/trace.hpp"
@@ -308,21 +309,26 @@ void TobNode::deliver_ready(net::NodeContext& ctx) {
     const Batch& batch = encoded.commands();
     config_.profile.charge(ctx, batch.size());
     const std::uint64_t base_index = index_base_ + delivered_count_;
-    Batch fresh;  // the commands actually delivered from this slot
+    // The commands delivered from this slot, built only once the slot turns
+    // out to hold a duplicate: every command before the first one was
+    // delivered.
+    std::optional<Batch> subset;
 
-    for (const Command& cmd : batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Command& cmd = batch[i];
       const auto key = std::make_pair(cmd.client.value, cmd.seq);
       DedupWindow& window = dedup_[key.first];
       if (window.contains(key.second)) {
         // no-duplication: already delivered here, or covered by the
         // snapshot this node rejoined from. Still ack + retire the pending
         // entry (a retry may have entered through us post-restart).
+        if (!subset) subset.emplace(batch.begin(), batch.begin() + static_cast<std::ptrdiff_t>(i));
         ack_and_retire_pending(ctx, key, slot);
         continue;
       }
       window.add(key.second, key.second + 1);
       const std::uint64_t index = index_base_ + delivered_count_++;
-      fresh.push_back(cmd);
+      if (subset) subset->push_back(cmd);
       if (config_.tracer) {
         config_.tracer->tob_deliver(ctx.now(), self_, slot, index, cmd.client, cmd.seq);
       }
@@ -339,9 +345,9 @@ void TobNode::deliver_ready(net::NodeContext& ctx) {
     // same bytes consensus agreed on, never re-encoded; only a slot
     // containing duplicates (client retries) needs a fresh sub-frame for the
     // delivered subset.
-    if (!fresh.empty() && batch_subscriber_) {
-      batch_subscriber_(ctx, slot, base_index,
-                        fresh.size() == batch.size() ? encoded : EncodedBatch{std::move(fresh)});
+    const bool delivered_any = index_base_ + delivered_count_ > base_index;
+    if (delivered_any && batch_subscriber_) {
+      batch_subscriber_(ctx, slot, base_index, subset ? EncodedBatch{std::move(*subset)} : encoded);
     }
     ++next_deliver_slot_;
     module_->set_delivered(next_deliver_slot_);
