@@ -22,7 +22,9 @@
 #     fetch session and one heartbeat detector serve every joiner, the TOB
 #     keeps no per-command delivery history, one helper builds the
 #     consensus safety recorder, the engine keeps each row's last-touch
-#     version on its storage entry (no per-key dirty map), and every message
+#     version on its storage entry (no per-key dirty map), storage keeps
+#     rows as row bytes under key bytes (no db::Row/db::Key in the table
+#     layouts, undo entries or version chains), and every message
 #     body's codec is its field list (no hand-written decoder outside the
 #     codec primitives, db::Value and consensus::EncodedBatch);
 #   * an ASan+UBSan build of the whole tree with the test suites run under
@@ -110,16 +112,24 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "FAIL: a second snapshot stream format is back (use repl::StateTransfer::send_v2)" >&2
     exit 1
   fi
-  # One snapshot cursor: Engine::serialize_rows is the one loop that
-  # serializes rows for every stream (full, migration-filtered, delta) and
-  # hands each batch to the sender as it fills. No second serializing loop,
-  # and no materialized batch vector in the engine or in the sender half of
-  # state transfer (the buffering receiver and the migration rider keep
+  # One snapshot cursor: Engine::serialize_rows is the one loop that fills
+  # batches for every stream (full, migration-filtered, delta), copying
+  # stored row bytes, and hands each batch to the sender as it fills. A row
+  # becomes row bytes in one place (serialize_row has one caller in src/db:
+  # where a statement's row is stored), no second loop builds batches, and
+  # no materialized batch vector lives in the engine or in the sender half
+  # of state transfer (the buffering receiver and the migration rider keep
   # theirs).
   row_calls="$(grep -rnE '(^|[^A-Za-z_])serialize_row\(' src/db | grep -v 'void serialize_row(' || true)"
   if [[ "$(grep -c . <<<"${row_calls}")" -ne 1 ]]; then
-    echo "FAIL: serialize_row( must have exactly one caller in src/db (Engine::serialize_rows):" >&2
+    echo "FAIL: serialize_row( must have exactly one caller in src/db (a statement's row stored):" >&2
     echo "${row_calls}" >&2
+    exit 1
+  fi
+  batch_builds="$(grep -rn 'SnapshotBatch{' src/db || true)"
+  if [[ "$(grep -c . <<<"${batch_builds}")" -ne 1 ]]; then
+    echo "FAIL: exactly one place in src/db may build a SnapshotBatch (Engine::serialize_rows):" >&2
+    echo "${batch_builds}" >&2
     exit 1
   fi
   batch_vec='std::vector<(db::)?(Engine::)?SnapshotBatch>'
@@ -184,10 +194,19 @@ if [[ "${1:-}" != "--fast" ]]; then
     exit 1
   fi
   # Row-resident touch stamps: a present key's last-touch version lives on
-  # its storage entry (db::StoredRow::touched) and an absent key's in the
+  # its storage record (db::RowEntry::touched) and an absent key's in the
   # tombstones, so no per-key dirty map may come back in the engine.
   if grep -rnw 'dirty_\|TouchMap' src/db; then
-    echo "FAIL: a per-key dirty map is back in src/db (stamp StoredRow::touched)" >&2
+    echo "FAIL: a per-key dirty map is back in src/db (stamp the storage record)" >&2
+    exit 1
+  fi
+  # Compact storage: storage keeps rows as row bytes under key bytes, and
+  # undo entries and version chains hold the same bytes. No table layout
+  # may key or hold rows as std::vector<Value> (db::Key / db::Row) again.
+  if grep -nE 'std::map<Key|unordered_map<Key|\bRow row;' src/db/table.hpp src/db/table.cpp ||
+     sed -n '/struct \(UndoEntry\|VersionEntry\) {/,/^  };/p' src/db/engine.hpp |
+       grep -nE '^ *(const +)?(db::)?(Row|Key) +[a-z_]+'; then
+    echo "FAIL: src/db stores rows or keys as std::vector<Value> (keep row bytes and key bytes)" >&2
     exit 1
   fi
   recorders="$(grep -rnE '(make_shared|make_unique)<(consensus::)?SafetyRecorder>|new (consensus::)?SafetyRecorder\b|\bSafetyRecorder [A-Za-z_]+ *[;{(]' src || true)"

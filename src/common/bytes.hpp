@@ -130,6 +130,8 @@ class ByteView {
 /// Appends primitive values to one growing byte buffer.
 class BytesWriter {
  public:
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
   void u32(std::uint32_t v) {

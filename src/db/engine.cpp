@@ -1,6 +1,7 @@
 #include "db/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -73,6 +74,24 @@ EngineTraits make_mysql_memory_traits() {
 }
 
 Engine::Engine(EngineTraits traits) : traits_(std::move(traits)) {}
+
+std::size_t Engine::KeyBytesHash::operator()(std::string_view key) const {
+  // Keys are a few 8-byte words: fold them in a word at a time, which keeps
+  // the version-chain probe of every write and versioned read cheaper than
+  // std::hash's general-purpose byte hash.
+  std::uint64_t h = key.size() * 0x9e3779b97f4a7c15ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= key.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, key.data() + i, sizeof(word));
+    h = (h ^ word) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  std::uint64_t tail = 0;
+  for (; i < key.size(); ++i) tail = (tail << 8) | static_cast<std::uint8_t>(key[i]);
+  h = (h ^ tail) * 0xc4ceb9fe1a85ec53ULL;
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
 
 void Engine::create_table(TableSchema schema) {
   SHADOW_REQUIRE_MSG(tables_.find(schema.name) == tables_.end(),
@@ -212,79 +231,112 @@ ExecResult Engine::run_statement(Txn& txn, TxnId id, const Statement& stmt) {
 
 namespace {
 
-Row project(const Row& row, const std::vector<std::size_t>& columns) {
-  if (columns.empty()) return row;
+/// A statement's row as row bytes: the one place a Row becomes stored bytes.
+Bytes row_bytes(const Row& row) {
+  std::size_t size = 4;  // at most this many bytes: a NULL takes 1, not 9
+  for (const Value& v : row) size += v.is_string() ? 5 + v.as_string().size() : 9;
+  BytesWriter w;
+  w.reserve(size);
+  serialize_row(w, row);
+  return w.take();
+}
+
+std::span<const std::uint8_t> as_span(std::string_view bytes) {
+  return {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()};
+}
+
+/// The columns a statement selects (all if `columns` is empty), decoded.
+Row project(RowView row, const std::vector<std::size_t>& columns) {
+  if (columns.empty()) return row.to_row();
   Row out;
   out.reserve(columns.size());
-  for (std::size_t c : columns) out.push_back(row[c]);
+  for (std::size_t c : columns) out.push_back(row.get(c));
   return out;
 }
 
-void apply_sets(Row& row, const std::vector<SetClause>& sets) {
-  for (const SetClause& set : sets) {
-    if (set.op == SetOp::kAssign) {
-      row[set.column] = set.value;
+/// The row bytes `row` becomes under `sets`, applied in order: untouched
+/// columns are copied as bytes, and only set columns are decoded.
+Bytes apply_sets(RowView row, const std::vector<SetClause>& sets) {
+  const std::size_t n = row.size();
+  BytesWriter w;
+  w.reserve(row.bytes().size() + 64);
+  w.u32(static_cast<std::uint32_t>(n));
+  std::size_t pos = RowView::kFirstColumn;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string_view column = row.next_column(pos);
+    std::optional<Value> value;
+    for (const SetClause& set : sets) {
+      if (set.column != i) continue;
+      value = set.op == SetOp::kAssign ? set.value
+                                       : (value ? *value : RowView::decode(column)).plus(set.value);
+    }
+    if (value) {
+      value->serialize(w);
     } else {
-      row[set.column] = row[set.column].plus(set.value);
+      w.raw(as_span(column));
     }
   }
+  return w.take();
 }
 
 }  // namespace
 
 ExecResult Engine::do_insert(Txn& txn, const Statement& stmt, Table& table) {
   ExecResult result;
-  result.cost_us = traits_.costs.insert_us +
-                   static_cast<std::uint64_t>(traits_.costs.byte_us *
-                                              static_cast<double>(row_wire_size(stmt.row)));
   SHADOW_REQUIRE_MSG(stmt.row.size() == table.schema.columns.size(),
                      "row arity mismatch for " + stmt.table);
-  const Key key = table.schema.key_of(stmt.row);
-  const auto [stored, inserted] = table.storage->insert(key, Row(stmt.row));
-  capture_history(stmt.table, key, inserted ? nullptr : &stored->row);
-  if (!inserted) {
+  const Bytes bytes = row_bytes(stmt.row);
+  const std::string_view row = as_chars(bytes);
+  result.cost_us = traits_.costs.insert_us +
+                   static_cast<std::uint64_t>(traits_.costs.byte_us *
+                                              static_cast<double>(row.size()));
+  const std::string key = table.key_bytes(RowView(row));
+  if (const std::optional<RowEntry> existing = table.storage->insert(key, row, state_version_)) {
+    capture_history(stmt.table, key, existing->row);
     result.status = ExecResult::Status::kAborted;
     result.error = "duplicate primary key in " + stmt.table;
     return result;
   }
+  capture_history(stmt.table, key, std::nullopt);
+  drop_tombstone(stmt.table, key);
   txn.undo.push_back(UndoEntry{UndoEntry::Kind::kInsert, stmt.table, key, {}});
-  touch_present(stmt.table, key, *stored, /*was_absent=*/true);
   result.affected = 1;
   return result;
 }
 
 ExecResult Engine::do_point(Txn& txn, const Statement& stmt, Table& table) {
   ExecResult result;
+  const std::string key = encode_key(stmt.key);
   switch (stmt.kind) {
     case Statement::Kind::kSelect: {
       result.cost_us = traits_.costs.point_read_us;
-      if (const StoredRow* stored = table.storage->find(stmt.key)) {
+      if (const std::optional<RowEntry> stored = table.storage->find(key)) {
         result.cost_us += static_cast<std::uint64_t>(
-            traits_.costs.byte_us * static_cast<double>(row_wire_size(stored->row)));
-        result.rows.push_back(project(stored->row, stmt.select_columns));
+            traits_.costs.byte_us * static_cast<double>(stored->row.size()));
+        result.rows.push_back(project(RowView(stored->row), stmt.select_columns));
       }
       return result;
     }
     case Statement::Kind::kUpdate: {
       result.cost_us = traits_.costs.point_write_us;
-      if (StoredRow* stored = table.storage->find(stmt.key)) {
+      if (const std::optional<RowEntry> stored = table.storage->find(key)) {
         result.cost_us += static_cast<std::uint64_t>(
-            traits_.costs.byte_us * static_cast<double>(row_wire_size(stored->row)));
-        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, stmt.key, stored->row});
-        capture_history(stmt.table, stmt.key, &stored->row);
-        apply_sets(stored->row, stmt.sets);
-        touch_present(stmt.table, stmt.key, *stored, /*was_absent=*/false);
+            traits_.costs.byte_us * static_cast<double>(stored->row.size()));
+        std::string old_row(stored->row);
+        capture_history(stmt.table, key, old_row);
+        table.storage->replace(*stored, as_chars(apply_sets(RowView(old_row), stmt.sets)),
+                               state_version_);
+        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, key, std::move(old_row)});
         result.affected = 1;
       }
       return result;
     }
     case Statement::Kind::kDelete: {
       result.cost_us = traits_.costs.point_write_us;
-      if (std::optional<Row> row = table.storage->take(stmt.key)) {
-        capture_history(stmt.table, stmt.key, &*row);
-        txn.undo.push_back(
-            UndoEntry{UndoEntry::Kind::kDelete, stmt.table, stmt.key, std::move(*row)});
-        touch_absent(stmt.table, stmt.key);
+      if (std::optional<std::string> row = table.storage->take(key)) {
+        capture_history(stmt.table, key, *row);
+        touch_absent(stmt.table, key);
+        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kDelete, stmt.table, key, std::move(*row)});
         result.affected = 1;
       }
       return result;
@@ -341,27 +393,25 @@ struct ScanAccumulator {
   std::int64_t count = 0;
   Value agg{};
 
-  void add(const Row& row) {
+  void add(RowView row) {
     switch (stmt.agg) {
       case Agg::kNone:
         result.rows.push_back(project(row, stmt.select_columns));
-        break;
+        return;
       case Agg::kCount:
         ++count;
-        break;
+        return;
       case Agg::kSum:
-        agg = agg_init ? agg.plus(row[stmt.agg_column]) : row[stmt.agg_column];
-        agg_init = true;
+        agg = agg_init ? agg.plus(row.get(stmt.agg_column)) : row.get(stmt.agg_column);
         break;
       case Agg::kMin:
-        if (!agg_init || row[stmt.agg_column] < agg) agg = row[stmt.agg_column];
-        agg_init = true;
+        if (!agg_init || row.compare(stmt.agg_column, agg) < 0) agg = row.get(stmt.agg_column);
         break;
       case Agg::kMax:
-        if (!agg_init || agg < row[stmt.agg_column]) agg = row[stmt.agg_column];
-        agg_init = true;
+        if (!agg_init || row.compare(stmt.agg_column, agg) > 0) agg = row.get(stmt.agg_column);
         break;
     }
+    agg_init = true;
   }
 
   void finish() {
@@ -386,15 +436,17 @@ struct ScanAccumulator {
   }
 };
 
+/// Whether `row` satisfies every condition of `stmt`'s conjunction.
+bool matches(const Statement& stmt, RowView row) {
+  return std::all_of(stmt.where.begin(), stmt.where.end(),
+                     [&row](const Condition& c) { return c.matches(row); });
+}
+
 }  // namespace
 
 ExecResult Engine::do_predicate(Txn& txn, const Statement& stmt, Table& table) {
   ExecResult result;
   std::size_t visited = 0;
-  const auto matches = [&stmt](const Row& row) {
-    return std::all_of(stmt.where.begin(), stmt.where.end(),
-                       [&row](const Condition& c) { return c.matches(row); });
-  };
 
   // Choose between an index range scan (ordered storage) and a full scan.
   const ScanPlan plan = plan_scan(stmt, table.schema);
@@ -406,41 +458,47 @@ ExecResult Engine::do_predicate(Txn& txn, const Statement& stmt, Table& table) {
     }
     // The range is [prefix ++ lo, prefix ++ hi]: every key there has the
     // equality-pinned prefix, so no visited key needs re-checking against it.
-    Key start = plan.prefix;
-    if (plan.next_lo) start.push_back(*plan.next_lo);
-    Key last = plan.prefix;
-    if (plan.next_hi) last.push_back(*plan.next_hi);
-    table.storage->scan_range(start, last, visit);
+    // In key bytes it is [enc(prefix ++ lo), successor of enc(prefix ++ hi)).
+    std::string start;
+    std::string last;
+    for (const Value& v : plan.prefix) append_key_value(start, v);
+    last = start;
+    if (plan.next_lo) append_key_value(start, *plan.next_lo);
+    if (plan.next_hi) append_key_value(last, *plan.next_hi);
+    table.storage->scan_range(start, prefix_successor(last), visit);
   };
 
   if (stmt.kind == Statement::Kind::kScan) {
     ScanAccumulator accum{stmt, result};
-    ranged_scan([&](const Key&, const StoredRow& stored) {
+    ranged_scan([&](const RowEntry& entry) {
       ++visited;
-      if (matches(stored.row)) accum.add(stored.row);
+      const RowView row(entry.row);
+      if (matches(stmt, row)) accum.add(row);
       return true;
     });
     accum.finish();
   } else {
     // UpdateWhere / DeleteWhere: collect matching keys first, then mutate.
-    std::vector<Key> keys;
-    ranged_scan([&](const Key& key, const StoredRow& stored) {
+    std::vector<std::string> keys;
+    ranged_scan([&](const RowEntry& entry) {
       ++visited;
-      if (matches(stored.row)) keys.push_back(key);
+      if (matches(stmt, RowView(entry.row))) keys.emplace_back(entry.key);
       return true;
     });
-    for (Key& key : keys) {
+    for (std::string& key : keys) {
       if (stmt.kind == Statement::Kind::kUpdateWhere) {
-        StoredRow* stored = table.storage->find(key);
-        SHADOW_CHECK(stored != nullptr);
-        capture_history(stmt.table, key, &stored->row);
-        txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, key, stored->row});
-        apply_sets(stored->row, stmt.sets);
-        touch_present(stmt.table, key, *stored, /*was_absent=*/false);
+        const std::optional<RowEntry> stored = table.storage->find(key);
+        SHADOW_CHECK(stored.has_value());
+        std::string old_row(stored->row);
+        capture_history(stmt.table, key, old_row);
+        table.storage->replace(*stored, as_chars(apply_sets(RowView(old_row), stmt.sets)),
+                               state_version_);
+        txn.undo.push_back(
+            UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, std::move(key), std::move(old_row)});
       } else {
-        std::optional<Row> row = table.storage->take(key);
+        std::optional<std::string> row = table.storage->take(key);
         SHADOW_CHECK(row.has_value());
-        capture_history(stmt.table, key, &*row);
+        capture_history(stmt.table, key, *row);
         touch_absent(stmt.table, key);
         txn.undo.push_back(
             UndoEntry{UndoEntry::Kind::kDelete, stmt.table, std::move(key), std::move(*row)});
@@ -515,17 +573,19 @@ void Engine::rollback(Txn& txn) {
         erase_key(table, it->table, it->key);
         break;
       case UndoEntry::Kind::kUpdate: {
-        StoredRow* stored = table.storage->find(it->key);
-        SHADOW_CHECK(stored != nullptr);
-        capture_history(it->table, it->key, &stored->row);
-        stored->row = std::move(it->old_row);
-        touch_present(it->table, it->key, *stored, /*was_absent=*/false);
+        const std::optional<RowEntry> stored = table.storage->find(it->key);
+        SHADOW_CHECK(stored.has_value());
+        capture_history(it->table, it->key, stored->row);
+        table.storage->replace(*stored, it->old_row, state_version_);
         break;
       }
       case UndoEntry::Kind::kDelete: {
-        const auto [stored, inserted] = table.storage->insert(it->key, std::move(it->old_row));
-        capture_history(it->table, it->key, inserted ? nullptr : &stored->row);
-        touch_present(it->table, it->key, *stored, /*was_absent=*/true);
+        // The key is absent again: the undo runs in reverse, so every later
+        // statement on it is already undone.
+        const bool inserted = !table.storage->insert(it->key, it->old_row, state_version_);
+        SHADOW_CHECK(inserted);
+        capture_history(it->table, it->key, std::nullopt);
+        drop_tombstone(it->table, it->key);
         break;
       }
     }
@@ -602,30 +662,31 @@ std::uint64_t Engine::serialize_rows(std::size_t batch_bytes, const RowSelection
       writer = BytesWriter();
       rows_in_batch = 0;
     };
-    auto add = [&](const Row& row) {
-      serialize_row(writer, row);
+    // A batch is stored rows back to back: each row's bytes are copied as
+    // they are.
+    auto add = [&](std::string_view row) {
+      writer.raw(as_span(row));
       ++rows_in_batch;
       cost += traits_.costs.snap_serialize_col_us * static_cast<double>(cols) +
-              traits_.costs.snap_serialize_byte_us * static_cast<double>(row_wire_size(row));
+              traits_.costs.snap_serialize_byte_us * static_cast<double>(row.size());
       if (writer.size() >= batch_bytes) flush();
     };
     // A delta is emitted in key order; hash storage visits rows unordered,
-    // so its selected rows are sorted first.
+    // so its selected rows are sorted (by key bytes) first.
     const bool sort = selection.since && !table.storage->ordered();
-    std::vector<std::pair<const Key*, const Row*>> selected;
-    table.storage->scan([&](const Key& key, const StoredRow& stored) {
-      if (selection.since && stored.touched <= *selection.since) return true;
-      if (selection.include && !selection.include(name, key)) return true;
+    std::vector<std::pair<std::string_view, std::string_view>> selected;  // (key, row)
+    table.storage->scan([&](const RowEntry& entry) {
+      if (selection.since && entry.touched <= *selection.since) return true;
+      if (selection.include && !selection.include(name, decode_key(entry.key))) return true;
       if (sort) {
-        selected.emplace_back(&key, &stored.row);
+        selected.emplace_back(entry.key, entry.row);
       } else {
-        add(stored.row);
+        add(entry.row);
       }
       return true;
     });
-    std::sort(selected.begin(), selected.end(),
-              [](const auto& x, const auto& y) { return *x.first < *y.first; });
-    for (const auto& [key, row] : selected) add(*row);
+    std::sort(selected.begin(), selected.end());
+    for (const auto& [key, row] : selected) add(row);
     flush();
   }
   return static_cast<std::uint64_t>(cost);
@@ -637,17 +698,30 @@ std::vector<TableSchema> Engine::schemas() const {
   return out;
 }
 
+namespace {
+
+/// Calls `fn` with each row of a batch, sliced out of its bytes in place.
+template <typename Fn>
+void for_each_batch_row(const Engine::SnapshotBatch& batch, const Table& table, Fn&& fn) {
+  const std::string_view data = as_chars(batch.data);
+  for (std::size_t pos = 0; pos < data.size();) {
+    const std::string_view row = data.substr(pos, row_extent(data.substr(pos)));
+    pos += row.size();
+    SHADOW_REQUIRE(RowView(row).size() == table.schema.columns.size());
+    fn(row);
+  }
+}
+
+}  // namespace
+
 std::uint64_t Engine::restore_batch(const SnapshotBatch& batch) {
   Table& table = table_of(batch.table);
-  BytesReader reader(batch.data);
   double cost = 0.0;
-  while (!reader.done()) {
-    Row row = deserialize_row(reader);
+  for_each_batch_row(batch, table, [&](std::string_view row) {
     cost += traits_.costs.snap_insert_row_us +
-            traits_.costs.snap_insert_byte_us * static_cast<double>(row_wire_size(row));
-    const Key key = table.schema.key_of(row);
-    table.storage->insert(key, std::move(row));  // untouched: at or below the floor
-  }
+            traits_.costs.snap_insert_byte_us * static_cast<double>(row.size());
+    table.storage->insert(table.key_bytes(RowView(row)), row, 0);  // untouched: at or below the floor
+  });
   return static_cast<std::uint64_t>(cost);
 }
 
@@ -670,87 +744,93 @@ void Engine::reset_for_restore(const std::vector<TableSchema>& schemas) {
   for (const TableSchema& schema : schemas) create_table(schema);
 }
 
-void Engine::touch_present(const std::string& table, const Key& key, StoredRow& stored,
-                           bool was_absent) {
-  stored.touched = state_version_;
-  if (!was_absent) return;
-  if (auto ts = tombstones_.find(table); ts != tombstones_.end()) ts->second.erase(key);
+void Engine::drop_tombstone(const std::string& table, std::string_view key) {
+  if (auto ts = tombstones_.find(table); ts != tombstones_.end()) {
+    if (auto it = ts->second.find(key); it != ts->second.end()) ts->second.erase(it);
+  }
 }
 
-void Engine::touch_absent(const std::string& table, const Key& key) {
-  tombstones_[table][key] = state_version_;
+void Engine::touch_absent(const std::string& table, std::string_view key) {
+  Tombstones& gone = tombstones_[table];
+  if (auto it = gone.find(key); it != gone.end()) {
+    it->second = state_version_;
+  } else {
+    gone.emplace(std::string(key), state_version_);
+  }
 }
 
 std::vector<std::pair<std::string, std::vector<Key>>> Engine::deleted_since(
     std::uint64_t since) const {
   std::vector<std::pair<std::string, std::vector<Key>>> out;
   for (const auto& [name, gone] : tombstones_) {
-    std::vector<Key> keys;
+    std::vector<std::string_view> keys;
     for (const auto& [key, version] : gone) {
-      if (version > since) keys.push_back(key);
+      if (version > since) keys.emplace_back(key);
     }
     if (keys.empty()) continue;
     std::sort(keys.begin(), keys.end());
-    out.emplace_back(name, std::move(keys));
+    std::vector<Key> decoded;
+    decoded.reserve(keys.size());
+    for (std::string_view key : keys) decoded.push_back(decode_key(key));
+    out.emplace_back(name, std::move(decoded));
   }
   return out;
 }
 
 std::uint64_t Engine::restore_upsert_batch(const SnapshotBatch& batch) {
   Table& table = table_of(batch.table);
-  BytesReader reader(batch.data);
   double cost = 0.0;
-  while (!reader.done()) {
-    Row row = deserialize_row(reader);
+  for_each_batch_row(batch, table, [&](std::string_view row) {
     cost += traits_.costs.snap_insert_row_us +
-            traits_.costs.snap_insert_byte_us * static_cast<double>(row_wire_size(row));
-    const Key key = table.schema.key_of(row);
-    const auto [stored, inserted] = table.storage->insert(key, std::move(row));
-    capture_history(batch.table, key, inserted ? nullptr : &stored->row);
-    if (!inserted) stored->row = std::move(row);
-    touch_present(batch.table, key, *stored, /*was_absent=*/inserted);
-  }
+            traits_.costs.snap_insert_byte_us * static_cast<double>(row.size());
+    const std::string key = table.key_bytes(RowView(row));
+    if (const std::optional<RowEntry> existing = table.storage->insert(key, row, state_version_)) {
+      capture_history(batch.table, key, existing->row);
+      table.storage->replace(*existing, row, state_version_);
+    } else {
+      capture_history(batch.table, key, std::nullopt);
+      drop_tombstone(batch.table, key);
+    }
+  });
   return static_cast<std::uint64_t>(cost);
 }
 
 std::uint64_t Engine::apply_deletes(const std::string& table_name,
                                     const std::vector<Key>& keys) {
   Table& table = table_of(table_name);
-  for (const Key& key : keys) erase_key(table, table_name, key);
+  for (const Key& key : keys) erase_key(table, table_name, encode_key(key));
   return traits_.costs.point_write_us * keys.size();
 }
 
 std::size_t Engine::delete_where_key(const std::string& table_name,
                                      const std::function<bool(const Key&)>& include) {
   Table& table = table_of(table_name);
-  std::vector<Key> doomed;
-  table.storage->scan([&](const Key& key, const StoredRow&) {
-    if (include(key)) doomed.push_back(key);
+  std::vector<std::string> doomed;
+  table.storage->scan([&](const RowEntry& entry) {
+    if (include(decode_key(entry.key))) doomed.emplace_back(entry.key);
     return true;
   });
-  for (const Key& key : doomed) erase_key(table, table_name, key);
+  for (const std::string& key : doomed) erase_key(table, table_name, key);
   return doomed.size();
 }
 
-void Engine::erase_key(Table& table, const std::string& table_name, const Key& key) {
-  const std::optional<Row> row = table.storage->take(key);
-  capture_history(table_name, key, row ? &*row : nullptr);
+void Engine::erase_key(Table& table, const std::string& table_name, std::string_view key) {
+  const std::optional<std::string> row = table.storage->take(key);
+  capture_history(table_name, key, row ? std::optional<std::string_view>(*row) : std::nullopt);
   touch_absent(table_name, key);
 }
 
-void Engine::capture_history(const std::string& table, const Key& key, const Row* pre_image) {
-  VersionChain& chain = history_[table][key];
+void Engine::capture_history(const std::string& table, std::string_view key,
+                             std::optional<std::string_view> pre_image) {
+  KeyBytesMap<VersionChain>& chains = history_[table];
+  auto it = chains.find(key);
+  if (it == chains.end()) it = chains.emplace(std::string(key), VersionChain{}).first;
+  VersionChain& chain = it->second;
   // One capture per state version: the chain records the value at the
   // version's start, and later mutations within the version overwrite state
   // the first capture already preserved.
   if (!chain.empty() && chain.back().superseded_at >= state_version_) return;
-  VersionEntry entry;
-  entry.superseded_at = state_version_;
-  if (pre_image != nullptr) {
-    entry.existed = true;
-    entry.row = *pre_image;
-  }
-  chain.push_back(std::move(entry));
+  chain.push_back(VersionEntry{state_version_, std::string(pre_image.value_or(""))});
   ++history_entries_;
   if (++captures_since_gc_ >= 4096) gc_versions();
 }
@@ -763,7 +843,8 @@ const Engine::VersionEntry* Engine::entry_after(const VersionChain& chain,
   return e == chain.end() ? nullptr : &*e;
 }
 
-const Engine::VersionEntry* Engine::pre_image_after(const std::string& table, const Key& key,
+const Engine::VersionEntry* Engine::pre_image_after(const std::string& table,
+                                                    std::string_view key,
                                                     std::uint64_t version) const {
   auto h = history_.find(table);
   if (h == history_.end()) return nullptr;
@@ -775,16 +856,17 @@ ExecResult Engine::read_at(const Statement& stmt, std::uint64_t version) const {
   ExecResult result;
   if (stmt.kind == Statement::Kind::kSelect) {
     result.cost_us = traits_.costs.point_read_us;
-    const Row* row = nullptr;
-    if (const VersionEntry* e = pre_image_after(stmt.table, stmt.key, version)) {
-      if (e->existed) row = &e->row;
-    } else if (const StoredRow* stored = table_of(stmt.table).storage->find(stmt.key)) {
-      row = &stored->row;
+    const std::string key = encode_key(stmt.key);
+    std::optional<std::string_view> row;
+    if (const VersionEntry* e = pre_image_after(stmt.table, key, version)) {
+      if (e->existed()) row = e->row;
+    } else if (const std::optional<RowEntry> stored = table_of(stmt.table).storage->find(key)) {
+      row = stored->row;
     }
-    if (row != nullptr) {
+    if (row) {
       result.cost_us += static_cast<std::uint64_t>(traits_.costs.byte_us *
-                                                   static_cast<double>(row_wire_size(*row)));
-      result.rows.push_back(project(*row, stmt.select_columns));
+                                                   static_cast<double>(row->size()));
+      result.rows.push_back(project(RowView(*row), stmt.select_columns));
     }
     return result;
   }
@@ -794,39 +876,35 @@ ExecResult Engine::read_at(const Statement& stmt, std::uint64_t version) const {
     return result;
   }
   const Table& table = table_of(stmt.table);
-  const auto matches = [&stmt](const Row& row) {
-    return std::all_of(stmt.where.begin(), stmt.where.end(),
-                       [&row](const Condition& c) { return c.matches(row); });
-  };
   ScanAccumulator accum{stmt, result};
   std::size_t visited = 0;
   // Pass 1: keys currently in storage, each reconstructed as of `version`.
   // A row whose touch stamp is at or below `version` is its own value then;
   // only rows mutated since need their chains.
-  table.storage->scan([&](const Key& key, const StoredRow& stored) {
+  table.storage->scan([&](const RowEntry& entry) {
     ++visited;
-    const Row* row = &stored.row;
-    if (stored.touched > version) {
-      if (const VersionEntry* e = pre_image_after(stmt.table, key, version)) {
-        row = e->existed ? &e->row : nullptr;
+    std::optional<RowView> row = RowView(entry.row);
+    if (entry.touched > version) {
+      if (const VersionEntry* e = pre_image_after(stmt.table, entry.key, version)) {
+        row = e->existed() ? std::optional<RowView>(RowView(e->row)) : std::nullopt;
       }
     }
-    if (row != nullptr && matches(*row)) accum.add(*row);
+    if (row && matches(stmt, *row)) accum.add(*row);
     return true;
   });
   // Pass 2: keys deleted since `version` survive only in the version chains
-  // (sorted for deterministic row order).
+  // (sorted by key for deterministic row order).
   if (auto h = history_.find(stmt.table); h != history_.end()) {
-    std::vector<std::pair<const Key*, const VersionChain*>> gone;
+    std::vector<std::pair<std::string_view, const VersionChain*>> gone;
     for (const auto& [key, chain] : h->second) {
-      if (table.storage->find(key) == nullptr) gone.emplace_back(&key, &chain);
+      if (!table.storage->find(key)) gone.emplace_back(key, &chain);
     }
     std::sort(gone.begin(), gone.end(),
-              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [key, chain] : gone) {
       ++visited;
       const VersionEntry* e = entry_after(*chain, version);
-      if (e != nullptr && e->existed && matches(e->row)) accum.add(e->row);
+      if (e != nullptr && e->existed() && matches(stmt, RowView(e->row))) accum.add(RowView(e->row));
     }
   }
   accum.finish();
@@ -879,12 +957,11 @@ std::uint64_t Engine::state_digest() const {
   // Order-independent: XOR/sum of per-row hashes so hash- and tree-indexed
   // replicas of the same logical state agree.
   std::uint64_t digest = 0;
-  KeyHash hasher;
   for (const auto& [name, table] : tables_) {
     const std::uint64_t table_tag = std::hash<std::string>{}(name);
-    table.storage->scan([&](const Key&, const StoredRow& stored) {
+    table.storage->scan([&](const RowEntry& entry) {
       std::uint64_t h = table_tag;
-      h ^= hasher(stored.row) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h ^= RowView(entry.row).hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       digest += h * 0x2545f4914f6cdd1dULL;
       return true;
     });

@@ -7,6 +7,12 @@
 // lock granularity (table vs row), index structure (hash vs ordered), the
 // per-operation cost profile, and the lock-wait timeout.
 //
+// Rows live in storage as their row bytes under key bytes (table.hpp,
+// value.hpp): statements decode only the columns they read, a snapshot batch
+// is stored rows back to back, and undo entries, version chains and
+// tombstones hold the same bytes. db::Row appears only at the boundary:
+// statement inputs, ExecResult::rows, and rows read back from history.
+//
 // Transactions use strict two-phase locking with undo-based rollback.
 // Statements that hit a lock conflict return kBlocked and complete later
 // through the wake callback (granted) or abort on timeout — the mechanism
@@ -19,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -106,9 +113,10 @@ class Engine {
   // -- snapshots / state transfer ----------------------------------------------
   //
   // A snapshot is never held whole: serialize_rows() is one cursor over the
-  // tables that fills one batch of serialized rows at a time and hands it to
-  // the caller's sink as soon as it reaches batch_bytes (the paper uses
-  // ~50 KB), so a sender frames each batch before the next one is filled.
+  // tables that copies stored row bytes (serialize_row's format) into one
+  // batch at a time and hands it to the caller's sink as soon as it reaches
+  // batch_bytes (the paper uses ~50 KB), so a sender frames each batch
+  // before the next one is filled.
   struct SnapshotBatch {
     std::string table;
     Bytes data;
@@ -147,7 +155,7 @@ class Engine {
   // applies its command sequence (the same version at the same position on
   // every replica of a group). Every mutation stamps the current version on
   // what it leaves behind: on the row's storage entry if the key is present
-  // (StoredRow::touched), in a per-table tombstone map if it is absent. A
+  // (RowEntry::touched), in a per-table tombstone map if it is absent. A
   // delta "since V" then ships exactly the rows stamped after V
   // (serialize_rows with `since`) plus the keys tombstoned after V
   // (deleted_since) — a receiver whose state matches version V reaches the
@@ -218,12 +226,20 @@ class Engine {
   std::size_t version_entries() const { return history_entries_; }
 
  private:
+  /// A hash map keyed by key bytes that a view can search.
+  struct KeyBytesHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const;
+  };
+  template <typename V>
+  using KeyBytesMap = std::unordered_map<std::string, V, KeyBytesHash, std::equal_to<>>;
+
   struct UndoEntry {
     enum class Kind : std::uint8_t { kInsert, kUpdate, kDelete };
     Kind kind;
     std::string table;
-    Key key;
-    Row old_row;  // kUpdate/kDelete
+    std::string key;      // key bytes
+    std::string old_row;  // row bytes (kUpdate/kDelete)
   };
 
   struct Txn {
@@ -235,21 +251,21 @@ class Engine {
 
   Table& table_of(const std::string& name);
   const Table& table_of(const std::string& name) const;
-  /// Stamps a mutation that left (table, key) in storage at the current state
-  /// version. `was_absent` (an insert) also drops the key's tombstone: a key
-  /// is tombstoned only while absent.
-  void touch_present(const std::string& table, const Key& key, StoredRow& stored,
-                     bool was_absent);
+  /// Drops (table, key)'s tombstone once a mutation has stored the key
+  /// again: a key is tombstoned only while absent. (A present key's stamp
+  /// is the one its storage record carries.)
+  void drop_tombstone(const std::string& table, std::string_view key);
   /// Stamps a mutation that left (table, key) absent: tombstones the key.
-  void touch_absent(const std::string& table, const Key& key);
+  void touch_absent(const std::string& table, std::string_view key);
   /// Removes (table, key) from storage as one mutation: capture, erase, stamp.
-  void erase_key(Table& table, const std::string& table_name, const Key& key);
-  /// Appends the key's value before the current mutation (`pre_image`, null
-  /// if absent) to its version chain, stamped superseded-at the current
-  /// state version. Called for every mutation; a second capture within the
-  /// same state version is a no-op (the chain records the value at the
-  /// version's start).
-  void capture_history(const std::string& table, const Key& key, const Row* pre_image);
+  void erase_key(Table& table, const std::string& table_name, std::string_view key);
+  /// Appends the key's row bytes before the current mutation (`pre_image`,
+  /// nullopt if absent) to its version chain, stamped superseded-at the
+  /// current state version. Called for every mutation; a second capture
+  /// within the same state version is a no-op (the chain records the value
+  /// at the version's start).
+  void capture_history(const std::string& table, std::string_view key,
+                       std::optional<std::string_view> pre_image);
   ExecResult run_statement(Txn& txn, TxnId id, const Statement& stmt);
   ExecResult do_insert(Txn& txn, const Statement& stmt, Table& table);
   ExecResult do_point(Txn& txn, const Statement& stmt, Table& table);
@@ -273,19 +289,20 @@ class Engine {
   // Delta state-transfer tracking: a present key's last-touch version lives
   // on its storage entry; an absent key's, if a mutation removed it, here.
   // Cleared by reset_for_restore (the floor takes over).
-  using Tombstones = std::unordered_map<Key, std::uint64_t, KeyHash>;
+  using Tombstones = KeyBytesMap<std::uint64_t>;  // key bytes → version
   std::uint64_t state_version_ = 0;
   std::uint64_t delta_floor_ = 0;
   std::map<std::string, Tombstones> tombstones_;
 
-  // MVCC-lite version chains: per key, the pre-images of its mutations in
-  // ascending superseded-at order. An entry {V, existed, row} holds the value
-  // the key had before the first mutation stamped V — i.e. its value at every
-  // version in [previous entry's V, V-1].
+  // MVCC-lite version chains: per key (its key bytes), the pre-images of its
+  // mutations in ascending superseded-at order. An entry {V, row} holds the
+  // row bytes the key had before the first mutation stamped V — i.e. its
+  // value at every version in [previous entry's V, V-1] — or no bytes if the
+  // key was absent then (a row's bytes are never empty).
   struct VersionEntry {
     std::uint64_t superseded_at = 0;
-    bool existed = false;
-    Row row;
+    std::string row;
+    bool existed() const { return !row.empty(); }
   };
   using VersionChain = std::vector<VersionEntry>;
   /// The first entry of `chain` superseded after `version` (null if none):
@@ -296,9 +313,9 @@ class Engine {
   /// mutation stamped V leaves an entry superseded at V, and GC keeps every
   /// entry above the floor. The one capture that is not a mutation, a
   /// rejected duplicate insert, holds the unchanged current row.
-  const VersionEntry* pre_image_after(const std::string& table, const Key& key,
+  const VersionEntry* pre_image_after(const std::string& table, std::string_view key,
                                       std::uint64_t version) const;
-  std::map<std::string, std::unordered_map<Key, VersionChain, KeyHash>> history_;
+  std::map<std::string, KeyBytesMap<VersionChain>> history_;
   std::unordered_map<std::uint64_t, std::uint64_t> readers_;  // reader id → version
   std::uint64_t next_reader_ = 1;
   std::uint64_t history_floor_ = 0;

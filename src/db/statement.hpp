@@ -24,8 +24,8 @@ struct Condition {
   CmpOp op = CmpOp::kEq;
   Value value;
 
-  bool matches(const Row& row) const {
-    const auto cmp = row[column] <=> value;
+  bool matches(const RowView& row) const {
+    const auto cmp = row.compare(column, value);
     switch (op) {
       case CmpOp::kEq: return cmp == 0;
       case CmpOp::kNe: return cmp != 0;

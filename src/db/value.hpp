@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -26,6 +27,7 @@ class Value {
   Value(double v) : rep_(v) {}              // NOLINT(google-explicit-constructor)
   Value(std::string v) : rep_(std::move(v)) {}  // NOLINT(google-explicit-constructor)
   Value(const char* v) : rep_(std::string(v)) {}  // NOLINT(google-explicit-constructor)
+  explicit Value(std::string_view v) : rep_(std::in_place_type<std::string>, v) {}
 
   bool is_null() const { return std::holds_alternative<Null>(rep_); }
   bool is_int() const { return std::holds_alternative<std::int64_t>(rep_); }
@@ -58,8 +60,6 @@ class Value {
 
   const Rep& rep() const { return rep_; }
 
-  /// Serialized size in bytes (for snapshot batches and wire accounting).
-  std::size_t wire_size() const;
   void serialize(BytesWriter& w) const;
   static Value deserialize(BytesReader& r);
 
@@ -72,8 +72,73 @@ class Value {
 using Row = std::vector<Value>;
 using Key = std::vector<Value>;
 
-std::size_t row_wire_size(const Row& row);
 void serialize_row(BytesWriter& w, const Row& row);
 Row deserialize_row(BytesReader& r);
+
+// -- stored forms ---------------------------------------------------------------
+//
+// Storage keeps every row as the bytes serialize_row writes ("row bytes")
+// and every primary key order-preservingly encoded ("key bytes"): memcmp
+// order on key bytes (a proper prefix first) is Key's <=>, and equal bytes
+// are equal keys. Each value is its tag byte (the Value alternative's index,
+// so NULL < BIGINT < DOUBLE < VARCHAR as in Value's <=>) and then:
+//   BIGINT   8 bytes big-endian with the sign bit flipped;
+//   DOUBLE   8 bytes big-endian of the IEEE bits, all flipped if negative
+//            and the sign bit set otherwise; -0.0 is stored as +0.0 (the
+//            two compare equal) and NaN, which has no place in a total
+//            order, is rejected;
+//   VARCHAR  the bytes with each 0x00 escaped as 0x00 0xFF, then 0x00 0x00.
+// Every value's encoding is self-delimiting, so a key's bytes are its
+// values' encodings back to back and a key prefix encodes as a byte prefix.
+
+/// A byte buffer's bytes as characters (key and row bytes are std::string).
+inline std::string_view as_chars(const Bytes& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// Appends `v`'s key encoding to `out`.
+void append_key_value(std::string& out, const Value& v);
+std::string encode_key(const Key& key);
+/// The Key that `key` bytes encode (a -0.0 comes back as +0.0).
+Key decode_key(std::string_view key);
+/// The least byte string above every string starting with `prefix`: the
+/// exclusive end of a key-prefix range. Empty (no bound) if there is none.
+std::string prefix_successor(std::string_view prefix);
+/// The hash of the key's values, combined in column order.
+std::size_t hash_key(std::string_view key);
+
+/// One row's bytes read in place: each accessor decodes only the column it
+/// names. The bytes must be a whole serialized row (see row_extent).
+class RowView {
+ public:
+  explicit RowView(std::string_view bytes) : bytes_(bytes) {}
+
+  std::string_view bytes() const { return bytes_; }
+  std::size_t size() const;
+  /// Column `i`'s serialized bytes: its tag, then its payload.
+  std::string_view column(std::size_t i) const;
+  /// The column serialized at byte `pos`, advancing `pos` past it: one pass
+  /// over every column starts at kFirstColumn.
+  std::string_view next_column(std::size_t& pos) const;
+  static constexpr std::size_t kFirstColumn = 4;
+  Value get(std::size_t i) const { return decode(column(i)); }
+  /// Column `i` <=> `v`, as Value's <=> would order them.
+  std::partial_ordering compare(std::size_t i, const Value& v) const;
+  Row to_row() const;
+  /// Column `i`'s key encoding, appended to `out`.
+  void append_key_column(std::string& out, std::size_t i) const;
+  /// The hash of the row's values, combined in column order (the same
+  /// mixing hash_key applies to a key's).
+  std::size_t hash() const;
+
+  static Value decode(std::string_view column);
+
+ private:
+  std::string_view bytes_;
+};
+
+/// The length of the serialized row at the start of `bytes`; throws
+/// InvariantViolation if it runs past the end.
+std::size_t row_extent(std::string_view bytes);
 
 }  // namespace shadow::db
