@@ -2,6 +2,10 @@
 // aggregates, index range plans, locking and snapshots.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <utility>
+
 #include "db/engine.hpp"
 
 namespace shadow::db {
@@ -343,7 +347,31 @@ struct RangeCase {
   std::vector<Condition> where;
   std::size_t rows;
   std::uint64_t cost_us;
+  Agg agg = Agg::kNone;
+  std::size_t agg_column = 0;
+  Value agg_value{};
+  std::optional<std::pair<std::size_t, bool>> order_by{};
+  std::size_t limit = std::numeric_limits<std::size_t>::max();
+  Row first_row{};  // checked when not empty
 };
+
+Statement range_case_scan(const RangeCase& c) {
+  Statement scan = make_scan("t", c.where);
+  scan.agg = c.agg;
+  scan.agg_column = c.agg_column;
+  scan.order_by = c.order_by;
+  scan.limit = c.limit;
+  return scan;
+}
+
+void expect_range_case(const RangeCase& c, const ExecResult& r, std::uint64_t cost_us) {
+  EXPECT_EQ(r.rows.size(), c.rows) << c.what;
+  EXPECT_EQ(r.cost_us, cost_us) << c.what;
+  EXPECT_EQ(r.agg_value, c.agg_value) << c.what;
+  if (!c.first_row.empty() && !r.rows.empty()) {
+    EXPECT_EQ(r.rows.front(), c.first_row) << c.what;
+  }
+}
 
 TEST(EngineRangeScan, CostPinsRowsVisitedPerPlan) {
   const auto cond = [](std::size_t col, CmpOp op, std::int64_t v) {
@@ -368,6 +396,35 @@ TEST(EngineRangeScan, CostPinsRowsVisitedPerPlan) {
       {"leading-column lower bound only", {cond(0, CmpOp::kGe, 45)}, 100, 44},
       {"non-key filter inside the prefix",
        {cond(0, CmpOp::kEq, 3), cond(2, CmpOp::kGe, 30)}, 10, 16},
+      // Equality on the non-key column v = a * b.
+      {"non-key equality inside a key prefix",
+       {cond(0, CmpOp::kEq, 3), cond(2, CmpOp::kEq, 30)}, 1, 16},
+      {"non-key equality inside a key prefix, many matches",
+       {cond(0, CmpOp::kEq, 0), cond(2, CmpOp::kEq, 0)}, 20, 16},
+      {"non-key equality inside a key prefix and a key range",
+       {cond(0, CmpOp::kEq, 0), cond(1, CmpOp::kGe, 15), cond(2, CmpOp::kEq, 0)}, 5, 10},
+      {"non-key equality with no prefix", {cond(2, CmpOp::kEq, 12)}, 6, 359},
+      {"non-key equality with no prefix, no match", {cond(2, CmpOp::kEq, 997)}, 0, 359},
+      {"two non-key equalities that disagree",
+       {cond(0, CmpOp::kEq, 2), cond(2, CmpOp::kEq, 4), cond(2, CmpOp::kEq, 6)}, 0, 16},
+      {"kMin on the next key column", {cond(0, CmpOp::kEq, 7)}, 0, 16, Agg::kMin, 1, Value(0)},
+      {"kMin on the next key column with a non-key filter",
+       {cond(0, CmpOp::kEq, 7), cond(2, CmpOp::kGe, 50)}, 0, 16, Agg::kMin, 1, Value(8)},
+      {"kMin on the next key column with a non-key equality",
+       {cond(0, CmpOp::kEq, 3), cond(2, CmpOp::kEq, 30)}, 0, 16, Agg::kMin, 1, Value(10)},
+      {"kMin on the next key column inside a key range",
+       {cond(0, CmpOp::kEq, 7), cond(1, CmpOp::kGt, 4)}, 0, 14, Agg::kMin, 1, Value(5)},
+      {"kMin on the next key column, no match",
+       {cond(0, CmpOp::kEq, 7), cond(2, CmpOp::kGe, 500)}, 0, 16, Agg::kMin, 1, Value()},
+      {"kMin on the first key column with a non-key filter",
+       {cond(2, CmpOp::kGe, 100)}, 0, 359, Agg::kMin, 0, Value(6)},
+      {"kMin on a non-key column", {cond(0, CmpOp::kEq, 7)}, 0, 16, Agg::kMin, 2, Value(0)},
+      {"non-key equality, order by desc, limit 1",
+       {cond(2, CmpOp::kEq, 12)}, 1, 359, Agg::kNone, 0, Value(), std::make_pair(0, true), 1,
+       {Value(12), Value(1), Value(12)}},
+      {"non-key equality inside a key prefix, order by desc, limit 1",
+       {cond(0, CmpOp::kEq, 0), cond(2, CmpOp::kEq, 0)}, 1, 16, Agg::kNone, 0, Value(),
+       std::make_pair(1, true), 1, {Value(0), Value(19), Value(0)}},
   };
   Engine ordered(make_h2_traits());
   Engine hashed(make_mysql_memory_traits());
@@ -387,20 +444,92 @@ TEST(EngineRangeScan, CostPinsRowsVisitedPerPlan) {
   }
   for (const RangeCase& c : cases) {
     const TxnId t = ordered.begin();
-    const ExecResult r = ordered.execute(t, make_scan("t", c.where));
-    EXPECT_EQ(r.rows.size(), c.rows) << c.what;
-    EXPECT_EQ(r.cost_us, c.cost_us) << c.what;
+    expect_range_case(c, ordered.execute(t, range_case_scan(c)), c.cost_us);
     ordered.commit(t);
   }
   // Hash storage has no key order: every plan falls back to a full scan of
-  // all 1000 rows (9 + 350 us) and returns the same rows.
+  // all 1000 rows (10 + 350 us) and returns the same rows.
   for (const RangeCase& c : cases) {
     const TxnId t = hashed.begin();
-    const ExecResult r = hashed.execute(t, make_scan("t", c.where));
-    EXPECT_EQ(r.rows.size(), c.rows) << c.what;
-    EXPECT_EQ(r.cost_us, 10u + 350u) << c.what;
+    expect_range_case(c, hashed.execute(t, range_case_scan(c)), 10u + 350u);
     hashed.commit(t);
   }
+}
+
+// Predicate writes whose conditions include an equality on the non-key
+// column v: which rows they change and what they are charged, then what
+// later scans on v see, after commits and after rollbacks.
+TEST(EngineRangeScan, PredicateWritesPinRowsAndCharges) {
+  const auto cond = [](std::size_t col, CmpOp op, std::int64_t v) {
+    return Condition{col, op, Value(v)};
+  };
+  const auto delete_where = [](std::vector<Condition> where) {
+    Statement stmt = make_scan("t", std::move(where));
+    stmt.kind = Statement::Kind::kDeleteWhere;
+    return stmt;
+  };
+  struct Step {
+    const char* what;
+    Statement stmt;
+    std::size_t count;  // rows affected (writes) or returned (scans)
+    std::uint64_t h2_cost_us;
+    bool abort_after = false;
+  };
+  const std::vector<Step> steps = {
+      {"update v where v = 12",
+       make_update_where("t", {cond(2, CmpOp::kEq, 12)}, {{2, SetOp::kAdd, Value(1000)}}), 6,
+       443},
+      {"scan the new value", make_scan("t", {cond(2, CmpOp::kEq, 1012)}), 6, 359},
+      {"scan the old value", make_scan("t", {cond(2, CmpOp::kEq, 12)}), 0, 359},
+      {"update v inside a prefix, rolled back",
+       make_update_where("t", {cond(0, CmpOp::kEq, 3), cond(2, CmpOp::kEq, 30)},
+                         {{2, SetOp::kAssign, Value(7777)}}),
+       1, 30, true},
+      {"scan the rolled-back value", make_scan("t", {cond(2, CmpOp::kEq, 7777)}), 0, 359},
+      {"scan the restored value", make_scan("t", {cond(0, CmpOp::kEq, 3), cond(2, CmpOp::kEq, 30)}),
+       1, 16},
+      {"delete inside a prefix", delete_where({cond(0, CmpOp::kEq, 5), cond(2, CmpOp::kEq, 10)}),
+       1, 30},
+      {"scan the deleted row", make_scan("t", {cond(0, CmpOp::kEq, 5), cond(2, CmpOp::kEq, 10)}),
+       0, 15},
+      {"delete v = 0, rolled back", delete_where({cond(2, CmpOp::kEq, 0)}), 69, 1324, true},
+      {"scan v = 0", make_scan("t", {cond(2, CmpOp::kEq, 0)}), 69, 358},
+      {"insert a row", make_insert("t", {Value(60), Value(0), Value(0)}), 1, 18},
+      {"scan it by v", make_scan("t", {cond(0, CmpOp::kEq, 60), cond(2, CmpOp::kEq, 0)}), 1, 9},
+      {"scan v = 0 again", make_scan("t", {cond(2, CmpOp::kEq, 0)}), 70, 359},
+  };
+  Engine ordered(make_h2_traits());
+  Engine hashed(make_mysql_memory_traits());
+  TableSchema schema{"t",
+                     {{"a", ColumnType::kBigInt}, {"b", ColumnType::kBigInt},
+                      {"v", ColumnType::kBigInt}},
+                     {0, 1}};
+  for (Engine* e : {&ordered, &hashed}) {
+    e->create_table(schema);
+    const TxnId t = e->begin();
+    for (std::int64_t a = 0; a < 50; ++a) {
+      for (std::int64_t b = 0; b < 20; ++b) {
+        ASSERT_TRUE(e->execute(t, make_insert("t", {Value(a), Value(b), Value(a * b)})).ok());
+      }
+    }
+    ASSERT_TRUE(e->commit(t).ok());
+    for (const Step& step : steps) {
+      const TxnId txn = e->begin();
+      const ExecResult r = e->execute(txn, step.stmt);
+      ASSERT_TRUE(r.ok()) << step.what;
+      EXPECT_EQ(step.stmt.is_read_only() ? r.rows.size() : r.affected, step.count)
+          << e->traits().name << ": " << step.what;
+      if (e == &ordered) {
+        EXPECT_EQ(r.cost_us, step.h2_cost_us) << step.what;
+      }
+      if (step.abort_after) {
+        e->abort(txn);
+      } else {
+        ASSERT_TRUE(e->commit(txn).ok()) << step.what;
+      }
+    }
+  }
+  EXPECT_EQ(ordered.state_digest(), hashed.state_digest());
 }
 
 }  // namespace
