@@ -24,7 +24,8 @@
 #     consensus safety recorder, the engine keeps each row's last-touch
 #     version on its storage entry (no per-key dirty map), storage keeps
 #     rows as row bytes under key bytes (no db::Row/db::Key in the table
-#     layouts, undo entries or version chains), and every message
+#     layouts, undo entries or version chains), the engine mutates
+#     storage only through Table (which keeps its access paths), and every message
 #     body's codec is its field list (no hand-written decoder outside the
 #     codec primitives, db::Value and consensus::EncodedBatch);
 #   * an ASan+UBSan build of the whole tree with the test suites run under
@@ -207,6 +208,13 @@ if [[ "${1:-}" != "--fast" ]]; then
      sed -n '/struct \(UndoEntry\|VersionEntry\) {/,/^  };/p' src/db/engine.hpp |
        grep -nE '^ *(const +)?(db::)?(Row|Key) +[a-z_]+'; then
     echo "FAIL: src/db stores rows or keys as std::vector<Value> (keep row bytes and key bytes)" >&2
+    exit 1
+  fi
+  # Access paths: every storage mutation goes through Table::insert,
+  # replace or take, which keep a table's secondary access paths in step
+  # with its storage; the engine never mutates storage behind them.
+  if grep -nE 'storage->(insert|replace|take)\(' src/db/engine.cpp; then
+    echo "FAIL: src/db/engine.cpp mutates storage directly (use Table::insert/replace/take)" >&2
     exit 1
   fi
   recorders="$(grep -rnE '(make_shared|make_unique)<(consensus::)?SafetyRecorder>|new (consensus::)?SafetyRecorder\b|\bSafetyRecorder [A-Za-z_]+ *[;{(]' src || true)"

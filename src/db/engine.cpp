@@ -1,6 +1,7 @@
 #include "db/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -291,7 +292,7 @@ ExecResult Engine::do_insert(Txn& txn, const Statement& stmt, Table& table) {
                    static_cast<std::uint64_t>(traits_.costs.byte_us *
                                               static_cast<double>(row.size()));
   const std::string key = table.key_bytes(RowView(row));
-  if (const std::optional<RowEntry> existing = table.storage->insert(key, row, state_version_)) {
+  if (const std::optional<RowEntry> existing = table.insert(key, row, state_version_)) {
     capture_history(stmt.table, key, existing->row);
     result.status = ExecResult::Status::kAborted;
     result.error = "duplicate primary key in " + stmt.table;
@@ -324,8 +325,7 @@ ExecResult Engine::do_point(Txn& txn, const Statement& stmt, Table& table) {
             traits_.costs.byte_us * static_cast<double>(stored->row.size()));
         std::string old_row(stored->row);
         capture_history(stmt.table, key, old_row);
-        table.storage->replace(*stored, as_chars(apply_sets(RowView(old_row), stmt.sets)),
-                               state_version_);
+        table.replace(*stored, as_chars(apply_sets(RowView(old_row), stmt.sets)), state_version_);
         txn.undo.push_back(UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, key, std::move(old_row)});
         result.affected = 1;
       }
@@ -333,7 +333,7 @@ ExecResult Engine::do_point(Txn& txn, const Statement& stmt, Table& table) {
     }
     case Statement::Kind::kDelete: {
       result.cost_us = traits_.costs.point_write_us;
-      if (std::optional<std::string> row = table.storage->take(key)) {
+      if (std::optional<std::string> row = table.take(key)) {
         capture_history(stmt.table, key, *row);
         touch_absent(stmt.table, key);
         txn.undo.push_back(UndoEntry{UndoEntry::Kind::kDelete, stmt.table, key, std::move(*row)});
@@ -351,19 +351,26 @@ namespace {
 
 /// Index-range planning: extract the longest equality-pinned prefix of the
 /// primary key (plus an optional lower/upper bound on the next key column)
-/// from a conjunction. All conditions are still re-checked as filters, so
-/// the plan only affects which rows are *visited*.
+/// from a conjunction, and the equalities on columns outside the key. All
+/// conditions are still re-checked as filters, so the plan only affects
+/// which rows are *read*. A statement is charged for every row of the
+/// plan's key range (the whole table without one), however few it reads.
 struct ScanPlan {
   Key prefix;                       // equality-pinned leading PK columns
   std::optional<Value> next_lo;     // >= bound on the next PK column
   std::optional<Value> next_hi;     // <= / < bound on the next PK column
   bool use_index = false;
+  // Equalities on non-key columns, one per column, by column (NaN, equal to
+  // nothing, left out). On ordered storage the rows then come from the
+  // access path over the prefix's columns and these.
+  std::vector<std::pair<std::size_t, const Value*>> non_key_eq;
 };
 
 ScanPlan plan_scan(const Statement& stmt, const TableSchema& schema) {
   ScanPlan plan;
-  for (std::size_t pk_pos = 0; pk_pos < schema.primary_key.size(); ++pk_pos) {
-    const std::size_t col = schema.primary_key[pk_pos];
+  const std::vector<std::size_t>& pk = schema.primary_key;
+  for (std::size_t pk_pos = 0; pk_pos < pk.size(); ++pk_pos) {
+    const std::size_t col = pk[pk_pos];
     const Condition* eq = nullptr;
     for (const Condition& c : stmt.where) {
       if (c.column == col && c.op == CmpOp::kEq) eq = &c;
@@ -381,6 +388,19 @@ ScanPlan plan_scan(const Statement& stmt, const TableSchema& schema) {
     break;
   }
   plan.use_index = !plan.prefix.empty() || plan.next_lo.has_value();
+  for (const Condition& c : stmt.where) {
+    if (c.op != CmpOp::kEq || std::find(pk.begin(), pk.end(), c.column) != pk.end()) continue;
+    if (c.value.is_double() && std::isnan(c.value.as_double())) continue;
+    // A column's last equality, as for key columns.
+    const auto same = std::find_if(plan.non_key_eq.begin(), plan.non_key_eq.end(),
+                                   [&c](const auto& eq) { return eq.first == c.column; });
+    if (same != plan.non_key_eq.end()) {
+      same->second = &c.value;
+    } else {
+      plan.non_key_eq.emplace_back(c.column, &c.value);
+    }
+  }
+  std::sort(plan.non_key_eq.begin(), plan.non_key_eq.end());
   return plan;
 }
 
@@ -446,42 +466,64 @@ bool matches(const Statement& stmt, RowView row) {
 
 ExecResult Engine::do_predicate(Txn& txn, const Statement& stmt, Table& table) {
   ExecResult result;
-  std::size_t visited = 0;
-
-  // Choose between an index range scan (ordered storage) and a full scan.
+  const std::vector<std::size_t>& pk = table.schema.primary_key;
   const ScanPlan plan = plan_scan(stmt, table.schema);
-  const bool indexed = plan.use_index && table.storage->ordered();
-  const auto ranged_scan = [&](const RowVisitor& visit) {
-    if (!indexed) {
-      table.storage->scan(visit);
-      return;
-    }
-    // The range is [prefix ++ lo, prefix ++ hi]: every key there has the
-    // equality-pinned prefix, so no visited key needs re-checking against it.
-    // In key bytes it is [enc(prefix ++ lo), successor of enc(prefix ++ hi)).
-    std::string start;
-    std::string last;
+  const bool ordered = table.storage->ordered();
+
+  // The plan's key range, on ordered storage: [prefix ++ lo, prefix ++ hi].
+  // Every key there has the equality-pinned prefix. In key bytes it is
+  // [enc(prefix ++ lo), successor of enc(prefix ++ hi)); without an index
+  // plan it is the whole table.
+  std::string start;
+  std::string end;
+  if (plan.use_index && ordered) {
     for (const Value& v : plan.prefix) append_key_value(start, v);
-    last = start;
+    std::string last = start;
     if (plan.next_lo) append_key_value(start, *plan.next_lo);
     if (plan.next_hi) append_key_value(last, *plan.next_hi);
-    table.storage->scan_range(start, prefix_successor(last), visit);
+    end = prefix_successor(last);
+  }
+  const std::size_t charged_rows = table.storage->count_range(start, end);
+
+  // The rows that can match, in key order on ordered storage: the range
+  // itself, or, given equalities on non-key columns, the rows the access
+  // path over the prefix's columns and those columns finds in it.
+  const auto candidates = [&](const RowVisitor& visit) {
+    if (!ordered) {
+      table.storage->scan(visit);  // no key order: a full scan
+    } else if (plan.non_key_eq.empty()) {
+      table.storage->scan_range(start, end, visit);
+    } else {
+      std::vector<std::size_t> columns(pk.begin(),
+                                       pk.begin() + static_cast<std::ptrdiff_t>(plan.prefix.size()));
+      std::string values;
+      for (const Value& v : plan.prefix) append_key_value(values, v);
+      for (const auto& [column, value] : plan.non_key_eq) {
+        columns.push_back(column);
+        append_key_value(values, *value);
+      }
+      table.scan_path(columns, values, start, end, visit);
+    }
   };
 
   if (stmt.kind == Statement::Kind::kScan) {
+    // The MIN of the key column after the prefix is the first match's value
+    // in key order.
+    const bool first_match_only = ordered && stmt.agg == Agg::kMin &&
+                                  plan.prefix.size() < pk.size() &&
+                                  stmt.agg_column == pk[plan.prefix.size()];
     ScanAccumulator accum{stmt, result};
-    ranged_scan([&](const RowEntry& entry) {
-      ++visited;
+    candidates([&](const RowEntry& entry) {
       const RowView row(entry.row);
-      if (matches(stmt, row)) accum.add(row);
-      return true;
+      if (!matches(stmt, row)) return true;
+      accum.add(row);
+      return !first_match_only;
     });
     accum.finish();
   } else {
     // UpdateWhere / DeleteWhere: collect matching keys first, then mutate.
     std::vector<std::string> keys;
-    ranged_scan([&](const RowEntry& entry) {
-      ++visited;
+    candidates([&](const RowEntry& entry) {
       if (matches(stmt, RowView(entry.row))) keys.emplace_back(entry.key);
       return true;
     });
@@ -491,12 +533,11 @@ ExecResult Engine::do_predicate(Txn& txn, const Statement& stmt, Table& table) {
         SHADOW_CHECK(stored.has_value());
         std::string old_row(stored->row);
         capture_history(stmt.table, key, old_row);
-        table.storage->replace(*stored, as_chars(apply_sets(RowView(old_row), stmt.sets)),
-                               state_version_);
+        table.replace(*stored, as_chars(apply_sets(RowView(old_row), stmt.sets)), state_version_);
         txn.undo.push_back(
             UndoEntry{UndoEntry::Kind::kUpdate, stmt.table, std::move(key), std::move(old_row)});
       } else {
-        std::optional<std::string> row = table.storage->take(key);
+        std::optional<std::string> row = table.take(key);
         SHADOW_CHECK(row.has_value());
         capture_history(stmt.table, key, *row);
         touch_absent(stmt.table, key);
@@ -509,7 +550,7 @@ ExecResult Engine::do_predicate(Txn& txn, const Statement& stmt, Table& table) {
 
   result.cost_us = traits_.costs.point_read_us +
                    static_cast<std::uint64_t>(traits_.costs.scan_row_us *
-                                              static_cast<double>(visited)) +
+                                              static_cast<double>(charged_rows)) +
                    traits_.costs.point_write_us * result.affected;
   return result;
 }
@@ -576,13 +617,13 @@ void Engine::rollback(Txn& txn) {
         const std::optional<RowEntry> stored = table.storage->find(it->key);
         SHADOW_CHECK(stored.has_value());
         capture_history(it->table, it->key, stored->row);
-        table.storage->replace(*stored, it->old_row, state_version_);
+        table.replace(*stored, it->old_row, state_version_);
         break;
       }
       case UndoEntry::Kind::kDelete: {
         // The key is absent again: the undo runs in reverse, so every later
         // statement on it is already undone.
-        const bool inserted = !table.storage->insert(it->key, it->old_row, state_version_);
+        const bool inserted = !table.insert(it->key, it->old_row, state_version_);
         SHADOW_CHECK(inserted);
         capture_history(it->table, it->key, std::nullopt);
         drop_tombstone(it->table, it->key);
@@ -720,7 +761,7 @@ std::uint64_t Engine::restore_batch(const SnapshotBatch& batch) {
   for_each_batch_row(batch, table, [&](std::string_view row) {
     cost += traits_.costs.snap_insert_row_us +
             traits_.costs.snap_insert_byte_us * static_cast<double>(row.size());
-    table.storage->insert(table.key_bytes(RowView(row)), row, 0);  // untouched: at or below the floor
+    table.insert(table.key_bytes(RowView(row)), row, 0);  // untouched: at or below the floor
   });
   return static_cast<std::uint64_t>(cost);
 }
@@ -784,9 +825,9 @@ std::uint64_t Engine::restore_upsert_batch(const SnapshotBatch& batch) {
     cost += traits_.costs.snap_insert_row_us +
             traits_.costs.snap_insert_byte_us * static_cast<double>(row.size());
     const std::string key = table.key_bytes(RowView(row));
-    if (const std::optional<RowEntry> existing = table.storage->insert(key, row, state_version_)) {
+    if (const std::optional<RowEntry> existing = table.insert(key, row, state_version_)) {
       capture_history(batch.table, key, existing->row);
-      table.storage->replace(*existing, row, state_version_);
+      table.replace(*existing, row, state_version_);
     } else {
       capture_history(batch.table, key, std::nullopt);
       drop_tombstone(batch.table, key);
@@ -815,7 +856,7 @@ std::size_t Engine::delete_where_key(const std::string& table_name,
 }
 
 void Engine::erase_key(Table& table, const std::string& table_name, std::string_view key) {
-  const std::optional<std::string> row = table.storage->take(key);
+  const std::optional<std::string> row = table.take(key);
   capture_history(table_name, key, row ? std::optional<std::string_view>(*row) : std::nullopt);
   touch_absent(table_name, key);
 }

@@ -13,6 +13,11 @@
 // tombstones hold the same bytes. db::Row appears only at the boundary:
 // statement inputs, ExecResult::rows, and rows read back from history.
 //
+// A predicate statement is charged for every row of its plan's key range
+// (Storage::count_range) but reads only the rows that can match: equalities
+// on non-key columns go through a table's access paths (table.hpp), and a
+// MIN of the key column after the pinned prefix stops at the first match.
+//
 // Transactions use strict two-phase locking with undo-based rollback.
 // Statements that hit a lock conflict return kBlocked and complete later
 // through the wake callback (granted) or abort on timeout — the mechanism

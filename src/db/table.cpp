@@ -162,6 +162,7 @@ struct OrderedStorage::Leaf {
 
 OrderedStorage::OrderedStorage() {
   fences_.emplace_back();
+  counts_.push_back(0);
   leaves_.push_back(std::make_unique<Leaf>());
 }
 
@@ -204,6 +205,7 @@ void OrderedStorage::replace(const RowEntry& found, std::string_view row,
   const std::size_t li = leaf_for(key);
   const std::size_t pos = leaves_[li]->lower_bound(key);
   leaves_[li]->erase(pos);
+  --counts_[li];
   --size_;
   insert_at(li, pos, key, row, touched);
 }
@@ -216,6 +218,7 @@ void OrderedStorage::insert_at(std::size_t li, std::size_t pos, std::string_view
   ++size_;
   if (n == 0 || leaf->bytes.size() + size <= kLeafBytes) {
     leaf->insert(pos, key, row, touched);
+    ++counts_[li];
     return;
   }
   // Split at the insert point: records [pos, n) move to a new leaf on the
@@ -235,6 +238,9 @@ void OrderedStorage::insert_at(std::size_t li, std::size_t pos, std::string_view
     right->insert(0, key, row, touched);
   }
   std::string fence(right->key(0));
+  counts_[li] = static_cast<std::uint32_t>(leaf->count());
+  counts_.insert(counts_.begin() + static_cast<std::ptrdiff_t>(li) + 1,
+                 static_cast<std::uint32_t>(right->count()));
   fences_.insert(fences_.begin() + static_cast<std::ptrdiff_t>(li) + 1, std::move(fence));
   leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(li) + 1, std::move(right));
 }
@@ -246,9 +252,11 @@ std::optional<std::string> OrderedStorage::take(std::string_view key) {
   if (pos == leaf.count() || leaf.key(pos) != key) return std::nullopt;
   std::string row(leaf.entry(pos).row);
   leaf.erase(pos);
+  --counts_[li];
   --size_;
   if (leaf.count() == 0 && leaves_.size() > 1) {
     leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(li));
+    counts_.erase(counts_.begin() + static_cast<std::ptrdiff_t>(li));
     fences_.erase(fences_.begin() + static_cast<std::ptrdiff_t>(li));
     fences_.front().clear();  // the first leaf has no lower bound
   }
@@ -264,6 +272,23 @@ void OrderedStorage::scan_range(std::string_view start, std::string_view end,
   scan_from(li, leaves_[li]->lower_bound(start), end, visit);
 }
 
+std::size_t OrderedStorage::count_range(std::string_view start, std::string_view end) const {
+  if (start.empty() && end.empty()) return size_;
+  if (!end.empty() && !key_less(start, end)) return 0;
+  const std::size_t first = leaf_for(start);
+  const std::size_t from = leaves_[first]->lower_bound(start);
+  std::size_t last = leaves_.size() - 1;
+  std::size_t to = counts_[last];
+  if (!end.empty()) {
+    last = leaf_for(end);
+    to = leaves_[last]->lower_bound(end);
+  }
+  // Records before `to` in leaf `last`, and every record of the leaves
+  // from `first` up to it, less the records before `from` in leaf `first`.
+  for (std::size_t i = first; i < last; ++i) to += counts_[i];
+  return to - from;
+}
+
 void OrderedStorage::scan_from(std::size_t li, std::size_t pos, std::string_view end,
                                const RowVisitor& visit) const {
   for (; li < leaves_.size(); ++li, pos = 0) {
@@ -274,6 +299,96 @@ void OrderedStorage::scan_from(std::size_t li, std::size_t pos, std::string_view
       if (!visit(entry)) return;
     }
   }
+}
+
+// -- tables and their access paths ----------------------------------------------
+
+namespace {
+
+/// Appends a row's access-path entry for `columns` to `out`: the columns'
+/// key encodings, then the row's key bytes. False (nothing appended) if a
+/// column holds NaN, which no equality matches and no key encodes.
+bool append_path_entry(const std::vector<std::size_t>& columns, RowView row,
+                       std::string_view key, std::string& out) {
+  for (const std::size_t c : columns) {
+    if (row.is_nan(c)) return false;
+  }
+  for (const std::size_t c : columns) row.append_key_column(out, c);
+  out.append(key);
+  return true;
+}
+
+/// Whether `a` and `b` hold the same bytes in every one of `columns`.
+bool same_columns(const std::vector<std::size_t>& columns, RowView a, RowView b) {
+  return std::all_of(columns.begin(), columns.end(),
+                     [&](std::size_t c) { return a.column(c) == b.column(c); });
+}
+
+}  // namespace
+
+std::optional<RowEntry> Table::insert(std::string_view key, std::string_view row,
+                                      std::uint64_t touched) {
+  if (std::optional<RowEntry> present = storage->insert(key, row, touched)) return present;
+  std::string entry;
+  for (auto& [columns, path] : paths_) {
+    entry.clear();
+    if (append_path_entry(columns, RowView(row), key, entry)) path.insert(entry, {}, 0);
+  }
+  return std::nullopt;
+}
+
+void Table::replace(const RowEntry& found, std::string_view row, std::uint64_t touched) {
+  std::string entry;
+  for (auto& [columns, path] : paths_) {
+    if (same_columns(columns, RowView(found.row), RowView(row))) continue;
+    entry.clear();
+    if (append_path_entry(columns, RowView(found.row), found.key, entry)) path.take(entry);
+    entry.clear();
+    if (append_path_entry(columns, RowView(row), found.key, entry)) path.insert(entry, {}, 0);
+  }
+  storage->replace(found, row, touched);  // last: `found` views the record it rewrites
+}
+
+std::optional<std::string> Table::take(std::string_view key) {
+  std::optional<std::string> row = storage->take(key);
+  if (!row) return row;
+  std::string entry;
+  for (auto& [columns, path] : paths_) {
+    entry.clear();
+    if (append_path_entry(columns, RowView(*row), key, entry)) path.take(entry);
+  }
+  return row;
+}
+
+void Table::scan_path(const std::vector<std::size_t>& columns, std::string_view values,
+                      std::string_view start, std::string_view end, const RowVisitor& visit) {
+  SHADOW_REQUIRE(storage->ordered());
+  auto [it, fresh] = paths_.try_emplace(columns);
+  OrderedStorage& path = it->second;
+  if (fresh) {
+    // Sorted first, the entries arrive as one run and fill whole leaves.
+    std::vector<std::string> entries;
+    entries.reserve(storage->size());
+    storage->scan([&](const RowEntry& stored) {
+      std::string entry;
+      if (append_path_entry(columns, RowView(stored.row), stored.key, entry)) {
+        entries.push_back(std::move(entry));
+      }
+      return true;
+    });
+    std::sort(entries.begin(), entries.end());
+    for (const std::string& entry : entries) path.insert(entry, {}, 0);
+  }
+  // Every entry in range starts with `values` (a whole number of
+  // self-delimiting encodings), so its key bytes are the rest of it.
+  std::string from(values);
+  from.append(start);
+  std::string to = end.empty() ? prefix_successor(values) : std::string(values).append(end);
+  path.scan_range(from, to, [&](const RowEntry& entry) {
+    const std::optional<RowEntry> stored = storage->find(entry.key.substr(values.size()));
+    SHADOW_CHECK_MSG(stored.has_value(), "access path names a key absent from storage");
+    return visit(*stored);
+  });
 }
 
 }  // namespace shadow::db

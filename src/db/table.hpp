@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -65,6 +66,9 @@ class Storage {
   /// scan (callers re-check every row's predicate then).
   virtual void scan_range(std::string_view start, std::string_view end,
                           const RowVisitor& visit) const = 0;
+  /// The number of rows scan_range(start, end) visits, without visiting
+  /// them: what a statement planned over that range is charged for.
+  virtual std::size_t count_range(std::string_view start, std::string_view end) const = 0;
 };
 
 /// The hash layout (the MySQL memory engine): one entry per key. It hashes
@@ -83,6 +87,9 @@ class HashStorage final : public Storage {
   bool ordered() const override { return false; }
   void scan_range(std::string_view start, std::string_view end,
                   const RowVisitor& visit) const override;
+  std::size_t count_range(std::string_view /*start*/, std::string_view /*end*/) const override {
+    return size();  // scan_range is a full scan
+  }
 
  private:
   /// Hashes key bytes by the values they encode (hash_key).
@@ -102,9 +109,11 @@ class HashStorage final : public Storage {
 ///   [u32 key length][u32 row length][key bytes][row bytes][u64 touched]
 /// and a leaf keeps its records' offsets for binary search. Leaf i holds
 /// the keys in [fences_[i], fences_[i+1]) (fences_[0] is empty: no lower
-/// bound). An insert into a full leaf splits it at the insert point, so keys
-/// that arrive in runs (a key-ordered load, each district's new orders)
-/// leave full leaves behind. An erase that empties a leaf drops it.
+/// bound), and counts_[i] is its record count, so counting a range reads
+/// only its two boundary leaves. An insert into a full leaf splits it at the
+/// insert point, so keys that arrive in runs (a key-ordered load, each
+/// district's new orders) leave full leaves behind. An erase that empties a
+/// leaf drops it.
 class OrderedStorage final : public Storage {
  public:
   OrderedStorage();
@@ -122,6 +131,7 @@ class OrderedStorage final : public Storage {
   bool ordered() const override { return true; }
   void scan_range(std::string_view start, std::string_view end,
                   const RowVisitor& visit) const override;
+  std::size_t count_range(std::string_view start, std::string_view end) const override;
 
  private:
   struct Leaf;
@@ -137,11 +147,23 @@ class OrderedStorage final : public Storage {
                  const RowVisitor& visit) const;
 
   std::vector<std::string> fences_;
+  std::vector<std::uint32_t> counts_;
   std::vector<std::unique_ptr<Leaf>> leaves_;
   std::size_t size_ = 0;
 };
 
-/// A table: schema + storage.
+/// A table: schema, storage, and the secondary access paths over its
+/// storage. Every mutation goes through insert/replace/take, which keep the
+/// paths in step with storage; reads go to `storage` directly.
+///
+/// An access path serves equality lookups on columns outside the key. It
+/// is an OrderedStorage holding, per row, the key encoding of the row's
+/// path columns followed by its key bytes, with empty row bytes: the rows
+/// that hold given values are one key range of the path, in key order. A
+/// path is built from storage the first time it is asked for (scan_path);
+/// a restore starts from new tables, so it rebuilds its own on first use.
+/// A row whose path column holds NaN, which no equality matches, has no
+/// entry.
 struct Table {
   TableSchema schema;
   std::unique_ptr<Storage> storage;
@@ -157,6 +179,24 @@ struct Table {
     for (std::size_t idx : schema.primary_key) row.append_key_column(key, idx);
     return key;
   }
+
+  /// Storage's insert, replace and take, applied to every path as well.
+  std::optional<RowEntry> insert(std::string_view key, std::string_view row,
+                                 std::uint64_t touched);
+  void replace(const RowEntry& found, std::string_view row, std::uint64_t touched);
+  std::optional<std::string> take(std::string_view key);
+
+  /// Visits, in key order, the stored rows whose `columns` hold the values
+  /// whose key encodings are `values` (back to back), and whose key bytes
+  /// lie in [start, end) (an empty `end`: no upper bound). Reads the access
+  /// path over `columns`, building it first if this is its first use.
+  /// Requires ordered storage.
+  void scan_path(const std::vector<std::size_t>& columns, std::string_view values,
+                 std::string_view start, std::string_view end, const RowVisitor& visit);
+
+ private:
+  /// Access paths by their columns.
+  std::map<std::vector<std::size_t>, OrderedStorage> paths_;
 };
 
 }  // namespace shadow::db

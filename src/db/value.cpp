@@ -330,6 +330,11 @@ void RowView::append_key_column(std::string& out, std::size_t i) const {
   }
 }
 
+bool RowView::is_nan(std::size_t i) const {
+  const std::string_view c = column(i);
+  return static_cast<std::uint8_t>(c[0]) == kDouble && std::isnan(column_double(c));
+}
+
 std::size_t RowView::hash() const {
   HashMix mix;
   const std::size_t n = size();

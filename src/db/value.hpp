@@ -127,6 +127,9 @@ class RowView {
   Row to_row() const;
   /// Column `i`'s key encoding, appended to `out`.
   void append_key_column(std::string& out, std::size_t i) const;
+  /// Whether column `i` is a NaN DOUBLE: the one value without a key
+  /// encoding, and equal to nothing.
+  bool is_nan(std::size_t i) const;
   /// The hash of the row's values, combined in column order (the same
   /// mixing hash_key applies to a key's).
   std::size_t hash() const;

@@ -275,6 +275,31 @@ TEST(OrderedLayout, MatchesAnOrderedMapThroughSplitsAndDrops) {
     });
     const auto lo = model.lower_bound(start);
     EXPECT_EQ(visited, static_cast<std::size_t>(std::distance(lo, model.lower_bound(end))));
+    EXPECT_EQ(store.count_range(start, end), visited);
+    // count_range over random ranges: open or bounded at either end, by a
+    // prefix or a whole key, empty or reversed, spanning any number of
+    // leaves (split ones in the churn, drained ones in the drain).
+    const auto random_bound = [&rng]() -> std::string {
+      switch (rng() % 4) {
+        case 0: return {};
+        case 1: return encode_key({Value(static_cast<std::int64_t>(rng() % 125))});
+        default:
+          return encode_key({Value(static_cast<std::int64_t>(rng() % 125)),
+                             Value(static_cast<std::int64_t>(rng() % 100))});
+      }
+    };
+    for (int range = 0; range < 40; ++range) {
+      const std::string from = random_bound();
+      const std::string to = random_bound();
+      std::size_t expected = 0;
+      if (to.empty()) {
+        expected = static_cast<std::size_t>(std::distance(model.lower_bound(from), model.end()));
+      } else if (from < to) {
+        expected = static_cast<std::size_t>(
+            std::distance(model.lower_bound(from), model.lower_bound(to)));
+      }
+      EXPECT_EQ(store.count_range(from, to), expected) << op << ": " << range;
+    }
     for (int probe = 0; probe < 50; ++probe) {
       const std::string key2 = encode_key({Value(static_cast<std::int64_t>(rng() % 120)),
                                            Value(static_cast<std::int64_t>(rng() % 100))});
