@@ -110,65 +110,78 @@ std::vector<db::TableSchema> make_schemas() {
   return schemas;
 }
 
+namespace {
+
+/// Inserts one table's rows as they are generated, in transactions of at
+/// most kRows rows: the loader never holds a table's rows, nor more than
+/// kRows undo entries.
+class LoadBatch {
+ public:
+  static constexpr std::size_t kRows = 1000;
+
+  LoadBatch(db::Engine& engine, const char* table) : engine_(engine), table_(table) {}
+
+  void add(db::Row row) {
+    if (rows_ == 0) txn_ = engine_.begin();
+    SHADOW_CHECK(engine_.execute(txn_, db::make_insert(table_, std::move(row))).ok());
+    if (++rows_ == kRows) finish();
+  }
+
+  /// Commits the rows added since the last commit.
+  void finish() {
+    if (rows_ == 0) return;
+    SHADOW_CHECK(engine_.commit(txn_).ok());
+    rows_ = 0;
+  }
+
+ private:
+  db::Engine& engine_;
+  const char* table_;
+  db::TxnId txn_ = 0;
+  std::size_t rows_ = 0;
+};
+
+}  // namespace
+
 void load(db::Engine& engine, const TpccConfig& config, std::uint64_t seed) {
   for (db::TableSchema& schema : make_schemas()) engine.create_table(std::move(schema));
   Rng rng(seed);
   const std::string pad(config.data_pad, 'x');
-  const auto ins = [&engine](const char* table, db::Row row) {
-    const db::TxnId txn = engine.begin();
-    SHADOW_CHECK(engine.execute(txn, db::make_insert(table, std::move(row))).ok());
-    SHADOW_CHECK(engine.commit(txn).ok());
-  };
-  // The loader batches inserts per table in one transaction for speed.
-  const auto bulk = [&engine](const char* table, std::vector<db::Row> rows) {
-    const db::TxnId txn = engine.begin();
-    for (db::Row& row : rows) {
-      SHADOW_CHECK(engine.execute(txn, db::make_insert(table, std::move(row))).ok());
-    }
-    SHADOW_CHECK(engine.commit(txn).ok());
-  };
-  (void)ins;
 
   // -- items -------------------------------------------------------------------
-  {
-    std::vector<db::Row> rows;
-    rows.reserve(static_cast<std::size_t>(config.items));
-    for (std::int64_t i = 1; i <= config.items; ++i) {
-      rows.push_back({Value(i), Value("item-" + std::to_string(i)),
-                      Value(1.0 + static_cast<double>(rng.uniform(0, 9900)) / 100.0),
-                      Value(pad)});
-    }
-    bulk("item", std::move(rows));
+  LoadBatch items(engine, "item");
+  for (std::int64_t i = 1; i <= config.items; ++i) {
+    items.add({Value(i), Value("item-" + std::to_string(i)),
+               Value(1.0 + static_cast<double>(rng.uniform(0, 9900)) / 100.0), Value(pad)});
   }
+  items.finish();
 
   const std::int64_t delivered_cutoff = config.initial_orders_per_district * 7 / 10;
   std::uint64_t h_id = 1;
 
   for (std::int64_t w = 1; w <= config.warehouses; ++w) {
-    bulk("warehouse", {{Value(w), Value("wh-" + std::to_string(w)),
-                        Value(static_cast<double>(rng.uniform(0, 2000)) / 10000.0),
-                        Value(300000.0)}});
+    LoadBatch warehouse(engine, "warehouse");
+    warehouse.add({Value(w), Value("wh-" + std::to_string(w)),
+                   Value(static_cast<double>(rng.uniform(0, 2000)) / 10000.0), Value(300000.0)});
+    warehouse.finish();
     // -- stock ------------------------------------------------------------------
-    {
-      std::vector<db::Row> rows;
-      rows.reserve(static_cast<std::size_t>(config.items));
-      for (std::int64_t i = 1; i <= config.items; ++i) {
-        rows.push_back({Value(w), Value(i),
-                        Value(static_cast<std::int64_t>(rng.uniform(10, 100))), Value(0),
-                        Value(0), Value(0), Value(pad)});
-      }
-      bulk("stock", std::move(rows));
+    LoadBatch stock(engine, "stock");
+    for (std::int64_t i = 1; i <= config.items; ++i) {
+      stock.add({Value(w), Value(i), Value(static_cast<std::int64_t>(rng.uniform(10, 100))),
+                 Value(0), Value(0), Value(0), Value(pad)});
     }
+    stock.finish();
 
     for (std::int64_t d = 1; d <= config.districts_per_wh; ++d) {
-      bulk("district",
-           {{Value(w), Value(d), Value("dist-" + std::to_string(d)),
-             Value(static_cast<double>(rng.uniform(0, 2000)) / 10000.0), Value(30000.0),
-             Value(config.initial_orders_per_district + 1)}});
+      LoadBatch district(engine, "district");
+      district.add({Value(w), Value(d), Value("dist-" + std::to_string(d)),
+                    Value(static_cast<double>(rng.uniform(0, 2000)) / 10000.0), Value(30000.0),
+                    Value(config.initial_orders_per_district + 1)});
+      district.finish();
 
       // -- customers + history ---------------------------------------------------
-      std::vector<db::Row> customers;
-      std::vector<db::Row> history;
+      LoadBatch customers(engine, "customer");
+      LoadBatch history(engine, "history");
       for (std::int64_t c = 1; c <= config.customers_per_district; ++c) {
         const std::int64_t name_num =
             c <= 1000 ? c - 1
@@ -177,14 +190,14 @@ void load(db::Engine& engine, const TpccConfig& config, std::uint64_t seed) {
                           kCLoad) %
                          1000);
         const bool bad_credit = rng.uniform(1, 10) == 1;
-        customers.push_back({Value(w), Value(d), Value(c), Value("first-" + std::to_string(c)),
-                             Value(last_name(name_num)), Value(bad_credit ? "BC" : "GC"),
-                             Value(-10.0), Value(10.0), Value(1), Value(0), Value(pad)});
-        history.push_back({Value(static_cast<std::int64_t>(h_id++)), Value(w), Value(d),
-                           Value(c), Value(w), Value(d), Value(10.0), Value(pad)});
+        customers.add({Value(w), Value(d), Value(c), Value("first-" + std::to_string(c)),
+                       Value(last_name(name_num)), Value(bad_credit ? "BC" : "GC"),
+                       Value(-10.0), Value(10.0), Value(1), Value(0), Value(pad)});
+        history.add({Value(static_cast<std::int64_t>(h_id++)), Value(w), Value(d), Value(c),
+                     Value(w), Value(d), Value(10.0), Value(pad)});
       }
-      bulk("customer", std::move(customers));
-      bulk("history", std::move(history));
+      customers.finish();
+      history.finish();
 
       // -- orders / order lines / new orders -------------------------------------
       std::vector<std::int64_t> cust_perm(
@@ -194,31 +207,29 @@ void load(db::Engine& engine, const TpccConfig& config, std::uint64_t seed) {
       }
       rng.shuffle(cust_perm);
 
-      std::vector<db::Row> orders;
-      std::vector<db::Row> lines;
-      std::vector<db::Row> new_orders;
+      LoadBatch orders(engine, "orders");
+      LoadBatch lines(engine, "order_line");
+      LoadBatch new_orders(engine, "new_order");
       for (std::int64_t o = 1; o <= config.initial_orders_per_district; ++o) {
         const std::int64_t c =
             cust_perm[static_cast<std::size_t>((o - 1) % config.customers_per_district)];
         const auto ol_cnt = static_cast<std::int64_t>(rng.uniform(5, 15));
         const bool delivered = o <= delivered_cutoff;
-        orders.push_back({Value(w), Value(d), Value(o), Value(c),
-                          Value(delivered ? static_cast<std::int64_t>(rng.uniform(1, 10)) : 0),
-                          Value(ol_cnt), Value(1)});
+        orders.add({Value(w), Value(d), Value(o), Value(c),
+                    Value(delivered ? static_cast<std::int64_t>(rng.uniform(1, 10)) : 0),
+                    Value(ol_cnt), Value(1)});
         for (std::int64_t n = 1; n <= ol_cnt; ++n) {
           const auto i_id = static_cast<std::int64_t>(
               rng.uniform(1, static_cast<std::uint64_t>(config.items)));
-          lines.push_back(
-              {Value(w), Value(d), Value(o), Value(n), Value(i_id), Value(w),
-               Value(5),
-               Value(delivered ? 0.0 : static_cast<double>(rng.uniform(1, 999999)) / 100.0),
-               Value(delivered ? std::int64_t{1} : std::int64_t{0})});
+          lines.add({Value(w), Value(d), Value(o), Value(n), Value(i_id), Value(w), Value(5),
+                     Value(delivered ? 0.0 : static_cast<double>(rng.uniform(1, 999999)) / 100.0),
+                     Value(delivered ? std::int64_t{1} : std::int64_t{0})});
         }
-        if (!delivered) new_orders.push_back({Value(w), Value(d), Value(o)});
+        if (!delivered) new_orders.add({Value(w), Value(d), Value(o)});
       }
-      bulk("orders", std::move(orders));
-      bulk("order_line", std::move(lines));
-      bulk("new_order", std::move(new_orders));
+      orders.finish();
+      lines.finish();
+      new_orders.finish();
     }
   }
 }
