@@ -326,18 +326,15 @@ bool same_columns(const std::vector<std::size_t>& columns, RowView a, RowView b)
 
 }  // namespace
 
-std::optional<RowEntry> Table::insert(std::string_view key, std::string_view row,
-                                      std::uint64_t touched) {
-  if (std::optional<RowEntry> present = storage->insert(key, row, touched)) return present;
+void Table::path_insert(std::string_view key, std::string_view row) {
   std::string entry;
   for (auto& [columns, path] : paths_) {
     entry.clear();
     if (append_path_entry(columns, RowView(row), key, entry)) path.insert(entry, {}, 0);
   }
-  return std::nullopt;
 }
 
-void Table::replace(const RowEntry& found, std::string_view row, std::uint64_t touched) {
+void Table::path_replace(const RowEntry& found, std::string_view row) {
   std::string entry;
   for (auto& [columns, path] : paths_) {
     if (same_columns(columns, RowView(found.row), RowView(row))) continue;
@@ -346,18 +343,14 @@ void Table::replace(const RowEntry& found, std::string_view row, std::uint64_t t
     entry.clear();
     if (append_path_entry(columns, RowView(row), found.key, entry)) path.insert(entry, {}, 0);
   }
-  storage->replace(found, row, touched);  // last: `found` views the record it rewrites
 }
 
-std::optional<std::string> Table::take(std::string_view key) {
-  std::optional<std::string> row = storage->take(key);
-  if (!row) return row;
+void Table::path_take(std::string_view key, std::string_view row) {
   std::string entry;
   for (auto& [columns, path] : paths_) {
     entry.clear();
-    if (append_path_entry(columns, RowView(*row), key, entry)) path.take(entry);
+    if (append_path_entry(columns, RowView(row), key, entry)) path.take(entry);
   }
-  return row;
 }
 
 void Table::scan_path(const std::vector<std::size_t>& columns, std::string_view values,

@@ -182,9 +182,20 @@ struct Table {
 
   /// Storage's insert, replace and take, applied to every path as well.
   std::optional<RowEntry> insert(std::string_view key, std::string_view row,
-                                 std::uint64_t touched);
-  void replace(const RowEntry& found, std::string_view row, std::uint64_t touched);
-  std::optional<std::string> take(std::string_view key);
+                                 std::uint64_t touched) {
+    std::optional<RowEntry> present = storage->insert(key, row, touched);
+    if (!present && !paths_.empty()) path_insert(key, row);
+    return present;
+  }
+  void replace(const RowEntry& found, std::string_view row, std::uint64_t touched) {
+    if (!paths_.empty()) path_replace(found, row);
+    storage->replace(found, row, touched);  // last: `found` views the record it rewrites
+  }
+  std::optional<std::string> take(std::string_view key) {
+    std::optional<std::string> row = storage->take(key);
+    if (row && !paths_.empty()) path_take(key, *row);
+    return row;
+  }
 
   /// Visits, in key order, the stored rows whose `columns` hold the values
   /// whose key encodings are `values` (back to back), and whose key bytes
@@ -195,6 +206,11 @@ struct Table {
                  std::string_view start, std::string_view end, const RowVisitor& visit);
 
  private:
+  /// The path side of insert, replace and take.
+  void path_insert(std::string_view key, std::string_view row);
+  void path_replace(const RowEntry& found, std::string_view row);
+  void path_take(std::string_view key, std::string_view row);
+
   /// Access paths by their columns.
   std::map<std::vector<std::size_t>, OrderedStorage> paths_;
 };
