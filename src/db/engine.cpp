@@ -360,10 +360,10 @@ struct ScanPlan {
   std::optional<Value> next_lo;     // >= bound on the next PK column
   std::optional<Value> next_hi;     // <= / < bound on the next PK column
   bool use_index = false;
-  // Equalities on non-key columns, one per column, by column (NaN, equal to
-  // nothing, left out). On ordered storage the rows then come from the
-  // access path over the prefix's columns and these.
-  std::vector<std::pair<std::size_t, const Value*>> non_key_eq;
+  // Equalities on non-key columns: a column's last one, by column (NaN,
+  // equal to nothing, left out). On ordered storage the rows then come from
+  // the access path over the prefix's columns and these.
+  std::map<std::size_t, const Value*> non_key_eq;
 };
 
 ScanPlan plan_scan(const Statement& stmt, const TableSchema& schema) {
@@ -391,16 +391,8 @@ ScanPlan plan_scan(const Statement& stmt, const TableSchema& schema) {
   for (const Condition& c : stmt.where) {
     if (c.op != CmpOp::kEq || std::find(pk.begin(), pk.end(), c.column) != pk.end()) continue;
     if (c.value.is_double() && std::isnan(c.value.as_double())) continue;
-    // A column's last equality, as for key columns.
-    const auto same = std::find_if(plan.non_key_eq.begin(), plan.non_key_eq.end(),
-                                   [&c](const auto& eq) { return eq.first == c.column; });
-    if (same != plan.non_key_eq.end()) {
-      same->second = &c.value;
-    } else {
-      plan.non_key_eq.emplace_back(c.column, &c.value);
-    }
+    plan.non_key_eq[c.column] = &c.value;
   }
-  std::sort(plan.non_key_eq.begin(), plan.non_key_eq.end());
   return plan;
 }
 
