@@ -305,6 +305,10 @@ void OrderedStorage::scan_from(std::size_t li, std::size_t pos, std::string_view
 
 namespace {
 
+/// An access-path entry's row bytes: none, but with non-null data, since a
+/// leaf copies a record's row with memcpy.
+constexpr std::string_view kNoRow("", 0);
+
 /// Appends a row's access-path entry for `columns` to `out`: the columns'
 /// key encodings, then the row's key bytes. False (nothing appended) if a
 /// column holds NaN, which no equality matches and no key encodes.
@@ -330,7 +334,7 @@ void Table::path_insert(std::string_view key, std::string_view row) {
   std::string entry;
   for (auto& [columns, path] : paths_) {
     entry.clear();
-    if (append_path_entry(columns, RowView(row), key, entry)) path.insert(entry, {}, 0);
+    if (append_path_entry(columns, RowView(row), key, entry)) path.insert(entry, kNoRow, 0);
   }
 }
 
@@ -341,7 +345,7 @@ void Table::path_replace(const RowEntry& found, std::string_view row) {
     entry.clear();
     if (append_path_entry(columns, RowView(found.row), found.key, entry)) path.take(entry);
     entry.clear();
-    if (append_path_entry(columns, RowView(row), found.key, entry)) path.insert(entry, {}, 0);
+    if (append_path_entry(columns, RowView(row), found.key, entry)) path.insert(entry, kNoRow, 0);
   }
 }
 
@@ -370,7 +374,7 @@ void Table::scan_path(const std::vector<std::size_t>& columns, std::string_view 
       return true;
     });
     std::sort(entries.begin(), entries.end());
-    for (const std::string& entry : entries) path.insert(entry, {}, 0);
+    for (const std::string& entry : entries) path.insert(entry, kNoRow, 0);
   }
   // Every entry in range starts with `values` (a whole number of
   // self-delimiting encodings), so its key bytes are the rest of it.
