@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "sim/world.hpp"
-#include "consensus/safety.hpp"
 #include "db/engine.hpp"
 #include "db/sql.hpp"
 #include "eventml/compile.hpp"

@@ -83,7 +83,7 @@ int main() {
   const ComponentRow rows[] = {
       {"TwoThird Consensus (multi-instance, native GPM)", 646,
        consensus::kTwoThirdProgramWork, 8, 6,
-       "agreement, validity, integrity (SafetyRecorder, every run) + "
+       "agreement, validity, integrity (offline trace checker, every traced run) + "
        "seeded crash-schedule sweeps"},
       {"Paxos-Synod", 1729, consensus::kSynodProgramWork, 24, 75,
        "agreement, validity, integrity, promise monotonicity, accept-above-"

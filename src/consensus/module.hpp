@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "consensus/exec_profile.hpp"
-#include "consensus/safety.hpp"
 #include "consensus/types.hpp"
 #include "net/transport.hpp"
 

@@ -18,8 +18,8 @@ constexpr const char* kPropose = kProposeHeader;
 
 }  // namespace
 
-PaxosModule::PaxosModule(NodeId self, PaxosConfig config, SafetyRecorder* safety)
-    : self_(self), config_(std::move(config)), safety_(safety) {
+PaxosModule::PaxosModule(NodeId self, PaxosConfig config)
+    : self_(self), config_(std::move(config)) {
   SHADOW_REQUIRE_MSG(config_.peers.size() >= 3, "Paxos needs at least 3 peers for f=1");
   SHADOW_REQUIRE(std::find(config_.peers.begin(), config_.peers.end(), self_) !=
                  config_.peers.end());
@@ -28,7 +28,6 @@ PaxosModule::PaxosModule(NodeId self, PaxosConfig config, SafetyRecorder* safety
 }
 
 void PaxosModule::propose(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) {
-  if (safety_ != nullptr) safety_->on_propose(slot, batch.commands());
   const net::Message msg = net::make_msg(kPropose, ProposeBody{slot, batch});
   for (NodeId peer : config_.peers) {
     ctx.send(peer, msg);
@@ -64,10 +63,7 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
   if (msg.header == kP1a) {
     const auto& body = net::msg_body<P1aBody>(msg);
     config_.profile.charge_control(ctx);
-    if (acceptor_.promised < body.ballot) {
-      acceptor_.promised = body.ballot;
-      if (safety_ != nullptr) safety_->on_promise(self_, acceptor_.promised);
-    }
+    if (acceptor_.promised < body.ballot) raise_promise(ctx, body.ballot);
     P1bBody reply{body.ballot, acceptor_.promised, {}};
     reply.accepted.reserve(acceptor_.accepted.size());
     for (const auto& [slot, pv] : acceptor_.accepted) reply.accepted.push_back(pv);
@@ -81,15 +77,12 @@ bool PaxosModule::on_message(net::NodeContext& ctx, const net::Message& msg) {
     // state, and a p2b without an accept would be a false vote. Drop it.
     if (body.pvalue.slot < floor_) return true;
     if (!(body.pvalue.ballot < acceptor_.promised)) {
-      if (acceptor_.promised < body.pvalue.ballot) {
-        acceptor_.promised = body.pvalue.ballot;
-        if (safety_ != nullptr) safety_->on_promise(self_, acceptor_.promised);
-      }
+      if (acceptor_.promised < body.pvalue.ballot) raise_promise(ctx, body.pvalue.ballot);
       auto [it, inserted] = acceptor_.accepted.try_emplace(body.pvalue.slot, body.pvalue);
       if (!inserted && it->second.ballot < body.pvalue.ballot) it->second = body.pvalue;
-      if (safety_ != nullptr) {
-        safety_->on_accept(self_, body.pvalue.ballot, body.pvalue.slot,
-                           body.pvalue.batch.commands());
+      if (config_.tracer) {
+        config_.tracer->accept(ctx.now(), self_, body.pvalue.slot, body.pvalue.ballot.round,
+                               body.pvalue.ballot.leader, body.pvalue.batch.digest());
       }
     }
     ctx.send(msg.from, net::make_msg(kP2b, P2bBody{body.pvalue.ballot, acceptor_.promised,
@@ -225,10 +218,16 @@ void PaxosModule::learn(net::NodeContext& ctx, Slot slot, const EncodedBatch& ba
   auto [it, inserted] = learned_.try_emplace(slot, batch);
   if (!inserted) return;
   last_progress_ = ctx.now();
-  if (safety_ != nullptr) safety_->on_decide(self_, slot, batch.commands());
   leader_.proposals.erase(slot);
   leader_.commanders.erase(slot);
   notify_decide(ctx, slot, batch);
+}
+
+void PaxosModule::raise_promise(net::NodeContext& ctx, const Ballot& ballot) {
+  acceptor_.promised = ballot;
+  if (config_.tracer) {
+    config_.tracer->promise(ctx.now(), self_, ballot.round, ballot.leader, config_.peers.size());
+  }
 }
 
 void PaxosModule::set_delivered(Slot next) {

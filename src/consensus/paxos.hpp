@@ -10,10 +10,12 @@
 //                preemption;
 //   learner    — collects decisions and surfaces them via notify_decide.
 //
-// Safety hooks feed the SafetyRecorder: promise monotonicity (the invariant
-// whose violation was the Google Paxos disk-corruption bug discussed in
-// Sec. II-D), accept-above-promise, agreement, validity and chosen-value
-// stability are all machine-checked per execution.
+// With a tracer attached, every promise raise and every accept is traced,
+// and the offline checker (obs/checker.hpp) verifies promise monotonicity
+// (the invariant whose violation was the Google Paxos disk-corruption bug
+// discussed in Sec. II-D), accept-above-promise and chosen-value stability
+// from them, and agreement, validity and integrity from the TOB's propose
+// and decide events, on simulated and TCP runs alike.
 //
 // Bounded state: the stable prefix. Each node's TOB reports its delivery
 // frontier (set_delivered). Every p2b carries the acceptor's frontier; the
@@ -107,7 +109,7 @@ struct PaxosConfig {
 
 class PaxosModule final : public ConsensusModule {
  public:
-  PaxosModule(NodeId self, PaxosConfig config, SafetyRecorder* safety = nullptr);
+  PaxosModule(NodeId self, PaxosConfig config);
 
   void propose(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) override;
   bool on_message(net::NodeContext& ctx, const net::Message& msg) override;
@@ -175,10 +177,11 @@ class PaxosModule final : public ConsensusModule {
   /// Forgets everything below min(stable_, delivered_).
   void prune();
   std::size_t quorum() const { return config_.peers.size() / 2 + 1; }
+  /// Raises the acceptor's promise to `ballot` (and traces it).
+  void raise_promise(net::NodeContext& ctx, const Ballot& ballot);
 
   NodeId self_;
   PaxosConfig config_;
-  SafetyRecorder* safety_;
   Acceptor acceptor_;
   Leader leader_;
   std::map<Slot, EncodedBatch> learned_;

@@ -13,8 +13,8 @@ constexpr const char* kDecideHeader = kTwoThirdDecideHeader;
 
 }  // namespace
 
-TwoThirdModule::TwoThirdModule(NodeId self, TwoThirdConfig config, SafetyRecorder* safety)
-    : self_(self), config_(std::move(config)), safety_(safety) {
+TwoThirdModule::TwoThirdModule(NodeId self, TwoThirdConfig config)
+    : self_(self), config_(std::move(config)) {
   SHADOW_REQUIRE_MSG(config_.peers.size() >= 4,
                      "One-Third-Rule requires n > 3f; use at least 4 peers for f=1");
   SHADOW_REQUIRE(std::find(config_.peers.begin(), config_.peers.end(), self_) !=
@@ -24,7 +24,6 @@ TwoThirdModule::TwoThirdModule(NodeId self, TwoThirdConfig config, SafetyRecorde
 void TwoThirdModule::propose(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) {
   Instance& inst = instances_[slot];
   if (inst.decision) return;
-  if (safety_ != nullptr) safety_->on_propose(slot, batch.commands());
   if (!inst.estimate) {
     inst.estimate = batch;
     send_vote(ctx, slot, inst);
@@ -111,7 +110,6 @@ void TwoThirdModule::try_advance(net::NodeContext& ctx, Slot slot, Instance& ins
 void TwoThirdModule::decide(net::NodeContext& ctx, Slot slot, Instance& inst,
                             const EncodedBatch& value) {
   inst.decision = value;
-  if (safety_ != nullptr) safety_->on_decide(self_, slot, value.commands());
   const net::Message dec = net::make_msg(kDecideHeader, DecideBody{slot, value});
   for (NodeId peer : config_.peers) {
     if (peer != self_) ctx.send(peer, dec);

@@ -10,9 +10,10 @@
 // Decisions are broadcast so lagging processes learn them, and a decided
 // process answers later-round votes with the decision.
 //
-// Safety (agreement, validity, integrity) is checked on every execution by
-// the SafetyRecorder; the original deadlock the authors found by inspection
-// (Sec. II-D) is covered by the liveness tests in tests/consensus.
+// Safety (agreement, validity, integrity) is checked offline from the TOB's
+// traced propose and decide digests (obs/checker.hpp); the original deadlock
+// the authors found by inspection (Sec. II-D) is covered by the liveness
+// tests in tests/consensus.
 #pragma once
 
 #include <map>
@@ -53,7 +54,7 @@ struct TwoThirdConfig {
 
 class TwoThirdModule final : public ConsensusModule {
  public:
-  TwoThirdModule(NodeId self, TwoThirdConfig config, SafetyRecorder* safety = nullptr);
+  TwoThirdModule(NodeId self, TwoThirdConfig config);
 
   void propose(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) override;
   bool on_message(net::NodeContext& ctx, const net::Message& msg) override;
@@ -82,7 +83,6 @@ class TwoThirdModule final : public ConsensusModule {
 
   NodeId self_;
   TwoThirdConfig config_;
-  SafetyRecorder* safety_;
   std::map<Slot, Instance> instances_;
 };
 

@@ -15,6 +15,7 @@
 #include "common/check.hpp"
 #include "common/ids.hpp"
 #include "wire/codec.hpp"
+#include "wire/framing.hpp"
 
 namespace shadow::consensus {
 
@@ -39,23 +40,6 @@ struct Ballot {
 
   auto operator<=>(const Ballot&) const = default;
 };
-
-inline std::string to_string(const Ballot& b) {
-  return "(" + std::to_string(b.round) + "," + to_string(b.leader) + ")";
-}
-
-inline std::string to_string(const Command& c) {
-  return to_string(c.client) + "#" + std::to_string(c.seq);
-}
-
-inline std::string to_string(const Batch& b) {
-  std::string s = "[";
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    if (i > 0) s += " ";
-    s += to_string(b[i]);
-  }
-  return s + "]";
-}
 
 }  // namespace shadow::consensus
 
@@ -132,6 +116,11 @@ class EncodedBatch {
     return rep_ ? rep_->payload : kEmpty;
   }
   std::size_t payload_size() const { return rep_ ? rep_->payload.size() : 0; }
+
+  /// Names the batch in traces: FNV-1a over the encoded bytes. Consensus
+  /// decides a proposed batch byte for byte, so equal batches have equal
+  /// digests.
+  std::uint64_t digest() const { return wire::frame_checksum({}, payload().span()); }
 
   /// The decoded commands, memoized on first use. (Mutation of the memo
   /// through a shared rep is safe: handlers run on single-threaded event
@@ -213,10 +202,6 @@ struct PValue {
   Slot slot = 0;
   EncodedBatch batch;
 };
-
-inline std::string to_string(const EncodedBatch& b) {
-  return to_string(b.commands());
-}
 
 }  // namespace shadow::consensus
 

@@ -1,6 +1,5 @@
 #include "core/group.hpp"
 
-#include <algorithm>
 
 #include "core/codecs.hpp"
 #include "obs/trace.hpp"
@@ -49,13 +48,6 @@ std::shared_ptr<db::Engine> make_loaded_engine(const ClusterOptions& options,
   return engine;
 }
 
-std::shared_ptr<consensus::SafetyRecorder> make_group_safety(const net::Transport& world,
-                                                             const std::vector<NodeId>& tob_nodes) {
-  const bool all_local = std::all_of(tob_nodes.begin(), tob_nodes.end(),
-                                     [&world](NodeId n) { return world.is_local(n); });
-  return all_local ? std::make_shared<consensus::SafetyRecorder>() : nullptr;
-}
-
 }  // namespace detail
 
 ReplicationGroup make_replication_group(net::Transport& world, const ClusterOptions& options,
@@ -69,8 +61,7 @@ ReplicationGroup make_replication_group(net::Transport& world, const ClusterOpti
   rg.machines = group.machines;
   const tob::TobConfig tob_config =
       detail::make_group_tob_config(world, options, group, rg.machines, rg.tob_nodes);
-  rg.safety = detail::make_group_safety(world, rg.tob_nodes);
-  rg.tob = tob::make_service(world, tob_config, rg.safety.get());
+  rg.tob = tob::make_service(world, tob_config);
 
   const std::size_t total = options.db_replicas + options.db_spares;
   std::vector<NodeId> actives;

@@ -19,8 +19,7 @@ PbrCluster make_pbr_cluster(net::Transport& world, const ClusterOptions& options
   PbrCluster cluster;
   const tob::TobConfig tob_config = detail::make_group_tob_config(
       world, options, GroupOptions{}, cluster.machines, cluster.tob_nodes);
-  cluster.safety = detail::make_group_safety(world, cluster.tob_nodes);
-  cluster.tob = tob::make_service(world, tob_config, cluster.safety.get());
+  cluster.tob = tob::make_service(world, tob_config);
 
   const std::size_t total = options.db_replicas + options.db_spares;
   std::vector<NodeId> group;
@@ -51,8 +50,7 @@ ChainCluster make_chain_cluster(net::Transport& world, const ClusterOptions& opt
   ChainCluster cluster;
   const tob::TobConfig tob_config = detail::make_group_tob_config(
       world, options, GroupOptions{}, cluster.machines, cluster.tob_nodes);
-  cluster.safety = detail::make_group_safety(world, cluster.tob_nodes);
-  cluster.tob = tob::make_service(world, tob_config, cluster.safety.get());
+  cluster.tob = tob::make_service(world, tob_config);
 
   const std::size_t total = options.db_replicas + options.db_spares;
   std::vector<NodeId> chain;

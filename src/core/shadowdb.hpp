@@ -33,7 +33,6 @@ struct PbrCluster {
   std::vector<std::unique_ptr<PbrReplica>> replicas;  // group order, then spares
   std::vector<NodeId> tob_nodes;
   std::vector<NodeId> replica_nodes;
-  std::shared_ptr<consensus::SafetyRecorder> safety;  // see detail::make_group_safety
 
   NodeId initial_primary() const { return replica_nodes.front(); }
   /// Submission targets for kDirect clients (primary first; clients rotate
@@ -50,7 +49,6 @@ struct ChainCluster {
   std::vector<std::unique_ptr<ChainReplica>> replicas;  // chain order, then spares
   std::vector<NodeId> tob_nodes;
   std::vector<NodeId> replica_nodes;
-  std::shared_ptr<consensus::SafetyRecorder> safety;  // see detail::make_group_safety
 
   NodeId head() const { return replica_nodes.front(); }
   const std::vector<NodeId>& request_targets() const { return replica_nodes; }

@@ -2,7 +2,7 @@
 // correctness properties stated about it (the paper's `progress ...`
 // declarations and Nuprl lemmas). Properties are represented as named,
 // machine-checkable entries; the checkers live in loe/properties.hpp and in
-// protocol-specific safety recorders.
+// the offline trace checker (obs/checker.hpp).
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,6 +28,136 @@ struct TxnTimes {
   bool acked = false;
 };
 
+std::string slot_name(std::uint32_t group, Slot slot) {
+  return "g" + std::to_string(group) + " slot " + std::to_string(slot);
+}
+
+std::string ballot_name(std::uint64_t key) {
+  return "(" + std::to_string(key >> 32) + ",n" + std::to_string(key & 0xffffffffu) + ")";
+}
+
+/// An accept event's (ballot, acceptor, digest), ordered by ballot.
+using Accepted = std::tuple<std::uint64_t, std::uint32_t, std::uint64_t>;
+
+/// What the trace says about one consensus slot of one group.
+struct SlotRecord {
+  std::vector<std::uint64_t> proposed;  // digests proposed for the slot
+  std::vector<std::uint32_t> deciders;  // incarnations that decided it
+  std::uint64_t decided = 0;            // the first decided digest
+  std::vector<Accepted> accepts;
+};
+
+/// Consensus agreement, validity and integrity over the propose/decide
+/// digests, and the Paxos acceptor invariants over the promise/accept
+/// events, per replication group.
+template <typename GroupOf, typename Report>
+void check_consensus(const Trace& trace, const GroupOf& group_of, const Report& report,
+                     CheckResult& result) {
+  // node -> (incarnation, trace generation) of its current incarnation,
+  // which ends at a crash, a new restart epoch, or another generation.
+  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> lives;
+  std::unordered_map<std::uint32_t, std::uint64_t> epochs;
+  std::vector<std::uint64_t> promised;  // per incarnation: its current promise
+  const auto incarnation = [&](const TraceEvent& e) {
+    const auto [it, fresh] = lives.try_emplace(e.node.value);
+    if (fresh || it->second.second != e.gen) {
+      it->second = {static_cast<std::uint32_t>(promised.size()), e.gen};
+      promised.push_back(0);
+    }
+    return it->second.first;
+  };
+  std::map<std::pair<std::uint32_t, Slot>, SlotRecord> slots;
+  std::map<std::uint32_t, std::uint64_t> acceptors;  // group -> configured synod size
+
+  for (const TraceEvent& e : trace.events) {
+    const auto node = [&e] { return "n" + std::to_string(e.node.value); };
+    const auto at = [&] { return slot_name(group_of(e.node.value), e.a); };
+    switch (e.kind) {
+      case EventKind::kCrash:
+        lives.erase(e.node.value);
+        break;
+      case EventKind::kGroupInfo:
+        if (const auto [it, fresh] = epochs.try_emplace(e.node.value, e.b); it->second != e.b) {
+          it->second = e.b;
+          lives.erase(e.node.value);
+        }
+        break;
+      case EventKind::kTobPropose:
+        slots[{group_of(e.node.value), e.a}].proposed.push_back(e.c);
+        break;
+      case EventKind::kTobDecide: {
+        SlotRecord& rec = slots[{group_of(e.node.value), e.a}];
+        const std::uint32_t inc = incarnation(e);
+        if (rec.deciders.empty()) {
+          rec.decided = e.c;
+        } else if (rec.decided != e.c) {
+          report("consensus-agreement", at() + " decided " + std::to_string(rec.decided) +
+                                            " elsewhere but " + std::to_string(e.c) + " on " +
+                                            node());
+        }
+        if (std::find(rec.deciders.begin(), rec.deciders.end(), inc) != rec.deciders.end()) {
+          report("consensus-integrity", node() + " decided " + at() + " twice in one incarnation");
+        }
+        rec.deciders.push_back(inc);
+        break;
+      }
+      case EventKind::kPromise: {
+        std::uint64_t& current = promised[incarnation(e)];
+        if (e.a < current) {
+          report("promise-monotonic",
+                 node() + " promised " + ballot_name(current) + " then " + ballot_name(e.a));
+        }
+        current = std::max(current, e.a);
+        std::uint64_t& synod = acceptors[group_of(e.node.value)];
+        synod = std::max(synod, e.b);
+        break;
+      }
+      case EventKind::kAccept:
+        if (const std::uint64_t current = promised[incarnation(e)]; e.b < current) {
+          report("accept-above-promise", node() + " accepted " + ballot_name(e.b) + " for " +
+                                             at() + " below its promise " + ballot_name(current));
+        }
+        slots[{group_of(e.node.value), e.a}].accepts.emplace_back(e.b, e.node.value, e.c);
+        break;
+      default:
+        break;
+    }
+  }
+
+  for (auto& [key, rec] : slots) {
+    const std::string name = slot_name(key.first, key.second);
+    if (!rec.deciders.empty()) {
+      ++result.slots_checked;
+      if (!rec.proposed.empty() &&
+          std::find(rec.proposed.begin(), rec.proposed.end(), rec.decided) == rec.proposed.end()) {
+        report("consensus-validity", name + " decided " + std::to_string(rec.decided) +
+                                         ", which no node proposed for it");
+      }
+    }
+    // Chosen stability: the first ballot a quorum of distinct acceptors
+    // accepted fixes the value every higher accepted ballot must carry.
+    const auto synod = acceptors.find(key.first);
+    if (synod == acceptors.end()) continue;
+    std::sort(rec.accepts.begin(), rec.accepts.end());
+    std::size_t voters = 0;
+    const Accepted* chosen = nullptr;
+    for (std::size_t i = 0; i < rec.accepts.size(); ++i) {
+      const auto& [ballot, acceptor, digest] = rec.accepts[i];
+      if (chosen == nullptr) {
+        const bool new_ballot = i == 0 || std::get<0>(rec.accepts[i - 1]) != ballot;
+        if (new_ballot) voters = 0;
+        if (new_ballot || std::get<1>(rec.accepts[i - 1]) != acceptor) ++voters;
+        if (voters > synod->second / 2) chosen = &rec.accepts[i];
+      } else if (ballot > std::get<0>(*chosen) && digest != std::get<2>(*chosen)) {
+        report("chosen-stability", name + ": n" + std::to_string(acceptor) + " accepted " +
+                                       std::to_string(digest) + " at " + ballot_name(ballot) +
+                                       " after " + std::to_string(std::get<2>(*chosen)) +
+                                       " was chosen at " + ballot_name(std::get<0>(*chosen)));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::string CheckResult::summary() const {
@@ -34,7 +165,8 @@ std::string CheckResult::summary() const {
   s += " (" + std::to_string(replicas_checked) + " replicas, " +
        std::to_string(executions_checked) + " executions, " +
        std::to_string(committed_txns_checked) + " committed txns, " +
-       std::to_string(ro_cuts_checked) + " ro cuts)";
+       std::to_string(ro_cuts_checked) + " ro cuts, " + std::to_string(slots_checked) +
+       " consensus slots)";
   for (const Violation& v : violations) {
     s += "\n  [" + v.invariant + "] " + v.detail;
   }
@@ -329,6 +461,8 @@ CheckResult check_trace(const Trace& trace, const CheckOptions& options) {
     }
   }
 
+  check_consensus(trace, group_of, report, result);
+
   // ---- cross-group note: there is deliberately NO cycle check over the
   // union of the per-group position orders. Such a check would assert that
   // every pair of transactions is ordered the same way by every common
@@ -352,6 +486,7 @@ Trace merge_traces(const std::vector<Trace>& traces) {
     out.dropped += trace.dropped;
     for (const TraceEvent& event : trace.events) {
       TraceEvent copy = event;
+      copy.gen = static_cast<std::uint32_t>(&trace - traces.data());
       const std::string& label = trace.strings[event.label];
       auto [it, inserted] = ids.emplace(label, static_cast<std::uint32_t>(out.strings.size()));
       if (inserted) out.strings.push_back(label);

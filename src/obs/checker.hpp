@@ -28,6 +28,29 @@
 //                      cut's version there, and that answer agrees across all
 //                      shared groups (no torn reads).
 //
+// and the consensus safety properties the paper proves for TwoThird and the
+// Paxos Synod, per replication group, from the propose/decide digests and
+// the acceptors' promise/accept events:
+//
+//   consensus-agreement  — no slot is decided with two different batches,
+//                          across all nodes and incarnations;
+//   consensus-validity   — a decided batch was proposed for that slot
+//                          (checked for slots that have a propose event: a
+//                          SIGKILLed process's proposals are lost with it);
+//   consensus-integrity  — a node decides a slot at most once per
+//                          incarnation;
+//   promise-monotonic    — an acceptor's promise never falls within one
+//                          incarnation;
+//   accept-above-promise — an acceptor never accepts below its promise;
+//   chosen-stability     — once a quorum accepted ballot b for a slot, every
+//                          accept at a ballot >= b for it carries b's batch.
+//                          The quorum is a majority of the acceptor count
+//                          the promise events record.
+//
+// An incarnation of a node ends at its kCrash event, at a group_info event
+// with a new restart epoch, and where merge_traces switches to another
+// trace generation (another process lifetime) for it.
+//
 // Sharded traces (group_info events present, core/group.hpp) are checked
 // per replication group — each group is its own TOB instance and execution
 // order, so order agreement and the real-time scan run within each group —
@@ -59,7 +82,8 @@ namespace shadow::obs {
 
 struct Violation {
   std::string invariant;  // "total-order", "at-most-once", "strict-serializability",
-                          // "durability", "cross-shard-atomicity", "snapshot-read"
+                          // "durability", "cross-shard-atomicity", "snapshot-read",
+                          // or one of the consensus invariants above
   std::string detail;
 };
 
@@ -70,6 +94,7 @@ struct CheckResult {
   std::size_t executions_checked = 0;
   std::size_t committed_txns_checked = 0;
   std::size_t ro_cuts_checked = 0;  // cross-shard read-only cuts examined
+  std::size_t slots_checked = 0;    // decided consensus slots (per group) examined
 
   bool ok() const { return violations.empty(); }
   std::string summary() const;
@@ -89,8 +114,9 @@ CheckResult check_trace(const Trace& trace, const CheckOptions& options = {});
 
 /// Merges per-process traces (one Tracer per OS process of a TCP cluster)
 /// into a single checkable trace: labels are re-interned into one string
-/// table and events are ordered by timestamp, which is meaningful across
-/// processes because the cluster's transports share a clock epoch.
+/// table, each event's `gen` is the index of its input trace, and events are
+/// ordered by timestamp, which is meaningful across processes because the
+/// cluster's transports share a clock epoch.
 Trace merge_traces(const std::vector<Trace>& traces);
 
 }  // namespace shadow::obs

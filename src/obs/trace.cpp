@@ -38,6 +38,8 @@ constexpr KindName kKindNames[] = {
     {EventKind::kGroupInfo, "group_info"},
     {EventKind::kXsPhase, "xs_phase"},
     {EventKind::kRoCut, "ro_cut"},
+    {EventKind::kPromise, "promise"},
+    {EventKind::kAccept, "accept"},
 };
 
 bool kind_from_string(const std::string& s, EventKind& out) {
@@ -171,26 +173,15 @@ void Tracer::on_send(net::Time t, NodeId from, NodeId to, const net::Message& m)
   metrics_.counter("net.bytes").add(m.wire_size);
   metrics_.counter("net.bytes." + m.header).add(m.wire_size);
   if (!options_.record_messages) return;
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kMsgSend;
-  e.node = from;
-  e.a = to.value;
-  e.b = m.wire_size;
-  e.label = intern(m.header);
-  append(e);
+  append({.time = t, .kind = EventKind::kMsgSend, .node = from, .a = to.value, .b = m.wire_size,
+          .label = intern(m.header)});
 }
 
 void Tracer::on_deliver(net::Time t, NodeId to, const net::Message& m) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.record_messages) return;
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kMsgDeliver;
-  e.node = to;
-  e.a = m.from.value;
-  e.label = intern(m.header);
-  append(e);
+  append({.time = t, .kind = EventKind::kMsgDeliver, .node = to, .a = m.from.value,
+          .label = intern(m.header)});
 }
 
 void Tracer::on_wire_drop(net::Time t, NodeId from, NodeId to, const std::string& header,
@@ -198,15 +189,8 @@ void Tracer::on_wire_drop(net::Time t, NodeId from, NodeId to, const std::string
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("net.wire_drops").add();
   metrics_.counter("net.wire_drop_bytes").add(wire_size);
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kMsgDrop;
-  e.node = from;
-  e.a = to.value;
-  e.b = wire_size;
-  e.c = static_cast<std::uint64_t>(reason);
-  e.label = intern(header);
-  append(e);
+  append({.time = t, .kind = EventKind::kMsgDrop, .node = from, .a = to.value, .b = wire_size,
+          .c = static_cast<std::uint64_t>(reason), .label = intern(header)});
 }
 
 void Tracer::on_frame_sent(net::Time /*t*/, const net::Message& m) {
@@ -235,39 +219,26 @@ void Tracer::on_reconnect_attempt(net::Time /*t*/, net::HostId /*peer*/,
 void Tracer::on_crash(net::Time t, NodeId node) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("replica.crashes").add();
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kCrash;
-  e.node = node;
-  append(e);
+  append({.time = t, .kind = EventKind::kCrash, .node = node});
 }
 
 void Tracer::tob_broadcast(net::Time t, NodeId node, ClientId client, RequestSeq seq) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("tob.broadcasts").add();
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kTobBroadcast;
-  e.node = node;
-  e.client = client;
-  e.seq = seq;
-  append(e);
+  append({.time = t, .kind = EventKind::kTobBroadcast, .node = node, .client = client, .seq = seq});
 }
 
-void Tracer::tob_propose(net::Time t, NodeId node, Slot slot, std::size_t batch_size) {
+void Tracer::tob_propose(net::Time t, NodeId node, Slot slot, std::size_t batch_size,
+                         std::uint64_t digest) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("tob.proposals").add();
   slot_proposed_at_.try_emplace(slot, t);
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kTobPropose;
-  e.node = node;
-  e.a = slot;
-  e.b = batch_size;
-  append(e);
+  append({.time = t, .kind = EventKind::kTobPropose, .node = node, .a = slot, .b = batch_size,
+          .c = digest});
 }
 
-void Tracer::tob_decide(net::Time t, NodeId node, Slot slot, std::size_t batch_size) {
+void Tracer::tob_decide(net::Time t, NodeId node, Slot slot, std::size_t batch_size,
+                        std::uint64_t digest) {
   std::lock_guard<std::mutex> lock(mu_);
   // Decide latency and batch size are per-slot metrics: count the first
   // node's decide only (every node learns every slot).
@@ -278,28 +249,16 @@ void Tracer::tob_decide(net::Time t, NodeId node, Slot slot, std::size_t batch_s
       metrics_.histogram("tob.decide_latency_us").observe(t - it->second);
     }
   }
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kTobDecide;
-  e.node = node;
-  e.a = slot;
-  e.b = batch_size;
-  append(e);
+  append({.time = t, .kind = EventKind::kTobDecide, .node = node, .a = slot, .b = batch_size,
+          .c = digest});
 }
 
 void Tracer::tob_deliver(net::Time t, NodeId node, Slot slot, std::uint64_t index,
                          ClientId client, RequestSeq seq) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("tob.deliveries").add();
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kTobDeliver;
-  e.node = node;
-  e.client = client;
-  e.seq = seq;
-  e.a = slot;
-  e.b = index;
-  append(e);
+  append({.time = t, .kind = EventKind::kTobDeliver, .node = node, .client = client, .seq = seq,
+          .a = slot, .b = index});
 }
 
 void Tracer::ballot(net::Time t, NodeId node, std::uint64_t round, NodeId leader,
@@ -310,26 +269,28 @@ void Tracer::ballot(net::Time t, NodeId node, std::uint64_t round, NodeId leader
     case BallotPhase::kAdopted: metrics_.counter("paxos.adoptions").add(); break;
     case BallotPhase::kPreempted: metrics_.counter("paxos.preemptions").add(); break;
   }
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kBallot;
-  e.node = node;
-  e.a = round;
-  e.b = leader.value;
-  e.c = static_cast<std::uint64_t>(phase);
-  append(e);
+  append({.time = t, .kind = EventKind::kBallot, .node = node, .a = round, .b = leader.value,
+          .c = static_cast<std::uint64_t>(phase)});
 }
 
 void Tracer::round(net::Time t, NodeId node, Slot slot, std::uint64_t round) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("two_third.round_advances").add();
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kRound;
-  e.node = node;
-  e.a = slot;
-  e.b = round;
-  append(e);
+  append({.time = t, .kind = EventKind::kRound, .node = node, .a = slot, .b = round});
+}
+
+void Tracer::promise(net::Time t, NodeId acceptor, std::uint64_t round, NodeId leader,
+                     std::size_t acceptors) {
+  std::lock_guard<std::mutex> lock(mu_);
+  append({.time = t, .kind = EventKind::kPromise, .node = acceptor, .a = ballot_key(round, leader),
+          .b = acceptors});
+}
+
+void Tracer::accept(net::Time t, NodeId acceptor, Slot slot, std::uint64_t round, NodeId leader,
+                    std::uint64_t digest) {
+  std::lock_guard<std::mutex> lock(mu_);
+  append({.time = t, .kind = EventKind::kAccept, .node = acceptor, .a = slot,
+          .b = ballot_key(round, leader), .c = digest});
 }
 
 void Tracer::txn_begin(net::Time t, NodeId node, ClientId client, RequestSeq seq,
@@ -337,14 +298,8 @@ void Tracer::txn_begin(net::Time t, NodeId node, ClientId client, RequestSeq seq
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("txn.begun").add();
   txn_begun_at_.try_emplace({client.value, seq}, t);
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kTxnBegin;
-  e.node = node;
-  e.client = client;
-  e.seq = seq;
-  e.label = intern(proc);
-  append(e);
+  append({.time = t, .kind = EventKind::kTxnBegin, .node = node, .client = client, .seq = seq,
+          .label = intern(proc)});
 }
 
 void Tracer::txn_execute(net::Time t, NodeId node, ClientId client, RequestSeq seq,
@@ -357,17 +312,8 @@ void Tracer::txn_execute(net::Time t, NodeId node, ClientId client, RequestSeq s
     metrics_.counter("txn.executed").add();
     if (!committed) metrics_.counter("txn.aborted").add();
   }
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kTxnExecute;
-  e.node = node;
-  e.client = client;
-  e.seq = seq;
-  e.a = order;
-  e.b = duplicate ? 1 : 0;
-  e.c = committed ? 1 : 0;
-  e.label = intern(proc);
-  append(e);
+  append({.time = t, .kind = EventKind::kTxnExecute, .node = node, .client = client, .seq = seq,
+          .a = order, .b = duplicate, .c = committed, .label = intern(proc)});
 }
 
 void Tracer::txn_ack(net::Time t, NodeId node, ClientId client, RequestSeq seq,
@@ -377,25 +323,14 @@ void Tracer::txn_ack(net::Time t, NodeId node, ClientId client, RequestSeq seq,
   if (const auto it = txn_begun_at_.find({client.value, seq}); it != txn_begun_at_.end()) {
     metrics_.histogram("txn.latency_us").observe(t - it->second);
   }
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kTxnAck;
-  e.node = node;
-  e.client = client;
-  e.seq = seq;
-  e.a = committed ? 1 : 0;
-  append(e);
+  append({.time = t, .kind = EventKind::kTxnAck, .node = node, .client = client, .seq = seq,
+          .a = committed});
 }
 
 void Tracer::recover(net::Time t, NodeId node, std::uint64_t up_to_order) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.counter("replica.recoveries").add();
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kRecover;
-  e.node = node;
-  e.a = up_to_order;
-  append(e);
+  append({.time = t, .kind = EventKind::kRecover, .node = node, .a = up_to_order});
 }
 
 void Tracer::state_transfer(net::Time t, NodeId node, StatePhase phase, std::uint64_t bytes,
@@ -407,25 +342,13 @@ void Tracer::state_transfer(net::Time t, NodeId node, StatePhase phase, std::uin
   } else if (phase == StatePhase::kBegin) {
     metrics_.counter("state_transfer.sessions").add();
   }
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kStateTransfer;
-  e.node = node;
-  e.a = static_cast<std::uint64_t>(phase);
-  e.b = bytes;
-  e.c = peer.value;
-  append(e);
+  append({.time = t, .kind = EventKind::kStateTransfer, .node = node,
+          .a = static_cast<std::uint64_t>(phase), .b = bytes, .c = peer.value});
 }
 
 void Tracer::group_info(net::Time t, NodeId node, std::uint64_t group, std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kGroupInfo;
-  e.node = node;
-  e.a = group;
-  e.b = epoch;
-  append(e);
+  append({.time = t, .kind = EventKind::kGroupInfo, .node = node, .a = group, .b = epoch});
 }
 
 void Tracer::xs_phase(net::Time t, NodeId node, ClientId client, RequestSeq seq, XsPhase phase,
@@ -435,32 +358,15 @@ void Tracer::xs_phase(net::Time t, NodeId node, ClientId client, RequestSeq seq,
                    : phase == XsPhase::kCommit ? "xs.commits"
                                                : "xs.aborts")
       .add();
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kXsPhase;
-  e.node = node;
-  e.client = client;
-  e.seq = seq;
-  e.a = static_cast<std::uint64_t>(phase);
-  e.b = group;
-  e.c = pos;
-  e.label = intern(proc);
-  append(e);
+  append({.time = t, .kind = EventKind::kXsPhase, .node = node, .client = client, .seq = seq,
+          .a = static_cast<std::uint64_t>(phase), .b = group, .c = pos, .label = intern(proc)});
 }
 
 void Tracer::ro_cut(net::Time t, NodeId node, ClientId client, RequestSeq seq,
                     std::uint64_t group, std::uint64_t version, std::uint64_t parts) {
   std::lock_guard<std::mutex> lock(mu_);
-  TraceEvent e;
-  e.time = t;
-  e.kind = EventKind::kRoCut;
-  e.node = node;
-  e.client = client;
-  e.seq = seq;
-  e.a = group;
-  e.b = version;
-  e.c = parts;
-  append(e);
+  append({.time = t, .kind = EventKind::kRoCut, .node = node, .client = client, .seq = seq,
+          .a = group, .b = version, .c = parts});
 }
 
 void Tracer::observe(const std::string& name, std::uint64_t value) {

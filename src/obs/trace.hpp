@@ -7,8 +7,10 @@
 // component metrics (counters + latency histograms) from the same stream.
 // The trace exports to JSON lines; src/obs/checker.* replays an exported (or
 // in-memory) trace and verifies total order, at-most-once, and strict
-// serializability offline. The event schema and the field meaning per kind
-// are documented in src/obs/README.md.
+// serializability offline, and the consensus safety properties (agreement,
+// validity, integrity, and the Paxos acceptor invariants) from the propose,
+// decide, promise and accept events. The event schema and the field meaning
+// per kind are documented in src/obs/README.md.
 //
 // Layering: obs depends only on common + net (it observes any
 // net::Transport — the simulator or the TCP backend). Protocol components receive an
@@ -35,8 +37,8 @@ enum class EventKind : std::uint8_t {
   kMsgDeliver,     // node=to, a=from, label=header
   kMsgDrop,        // node=from, a=to, b=wire bytes, c=wire::FrameStatus, label=header
   kTobBroadcast,   // node=frontend, client/seq of the command
-  kTobPropose,     // node, a=slot, b=batch size
-  kTobDecide,      // node, a=slot, b=batch size
+  kTobPropose,     // node, a=slot, b=batch size, c=batch digest
+  kTobDecide,      // node, a=slot, b=batch size, c=batch digest
   kTobDeliver,     // node, client/seq, a=slot, b=global delivery index
   kBallot,         // node, a=round, b=leader node, c=phase (BallotPhase)
   kRound,          // node, a=slot, b=round reached
@@ -52,6 +54,8 @@ enum class EventKind : std::uint8_t {
                    // label=proc
   kRoCut,          // node=client node, client/seq, a=group id, b=read version
                    // chosen for that group, c=cut size (participant groups)
+  kPromise,        // node=acceptor, a=ballot (ballot_key), b=acceptor count
+  kAccept,         // node=acceptor, a=slot, b=ballot (ballot_key), c=batch digest
 };
 
 enum class BallotPhase : std::uint8_t { kScout = 0, kAdopted = 1, kPreempted = 2 };
@@ -69,6 +73,13 @@ inline constexpr std::uint64_t kUnordered = ~std::uint64_t{0};
 
 const char* to_string(EventKind kind);
 
+/// A Paxos ballot (round, leader) as one integer whose order is the ballot
+/// order: round * 2^32 + leader node. Rounds grow by one per scout, far
+/// below 2^32.
+inline std::uint64_t ballot_key(std::uint64_t round, NodeId leader) {
+  return round << 32 | leader.value;
+}
+
 struct TraceEvent {
   net::Time time = 0;
   EventKind kind = EventKind::kMsgSend;
@@ -79,6 +90,9 @@ struct TraceEvent {
   std::uint64_t b = 0;
   std::uint64_t c = 0;
   std::uint32_t label = 0;  // index into Trace::strings (0 = empty)
+  /// Which input of merge_traces the event came from (0 otherwise; not
+  /// exported): one trace generation is one process incarnation.
+  std::uint32_t gen = 0;
 };
 
 /// A self-contained recorded execution: the event stream plus the interned
@@ -144,14 +158,25 @@ class Tracer final : public net::TransportObserver {
 
   // -- broadcast service ----------------------------------------------------
   void tob_broadcast(net::Time t, NodeId node, ClientId client, RequestSeq seq);
-  void tob_propose(net::Time t, NodeId node, Slot slot, std::size_t batch_size);
-  void tob_decide(net::Time t, NodeId node, Slot slot, std::size_t batch_size);
+  /// `digest` identifies the batch's encoded bytes (EncodedBatch::digest).
+  void tob_propose(net::Time t, NodeId node, Slot slot, std::size_t batch_size,
+                   std::uint64_t digest);
+  void tob_decide(net::Time t, NodeId node, Slot slot, std::size_t batch_size,
+                  std::uint64_t digest);
   void tob_deliver(net::Time t, NodeId node, Slot slot, std::uint64_t index, ClientId client,
                    RequestSeq seq);
 
   // -- consensus ------------------------------------------------------------
   void ballot(net::Time t, NodeId node, std::uint64_t round, NodeId leader, BallotPhase phase);
   void round(net::Time t, NodeId node, Slot slot, std::uint64_t round);
+  /// A Paxos acceptor raised its promise to ballot (round, leader);
+  /// `acceptors` is the synod size its configuration names (the quorum the
+  /// checker uses comes from it, never from the nodes a trace contains).
+  void promise(net::Time t, NodeId acceptor, std::uint64_t round, NodeId leader,
+               std::size_t acceptors);
+  /// A Paxos acceptor accepted a pvalue: ballot (round, leader) for `slot`.
+  void accept(net::Time t, NodeId acceptor, Slot slot, std::uint64_t round, NodeId leader,
+              std::uint64_t digest);
 
   // -- transactions ---------------------------------------------------------
   void txn_begin(net::Time t, NodeId node, ClientId client, RequestSeq seq,

@@ -9,8 +9,7 @@
 
 namespace shadow::tob {
 
-TobNode::TobNode(net::Transport& world, NodeId self, TobConfig config,
-                 consensus::SafetyRecorder* safety)
+TobNode::TobNode(net::Transport& world, NodeId self, TobConfig config)
     : world_(world), self_(self), config_(std::move(config)) {
   SHADOW_REQUIRE(!config_.nodes.empty());
   SHADOW_REQUIRE(config_.batch_max >= 1);
@@ -25,13 +24,13 @@ TobNode::TobNode(net::Transport& world, NodeId self, TobConfig config,
     if (pc.peers.empty()) pc.peers = config_.nodes;
     pc.profile.tier = config_.profile.tier;
     pc.profile.costs = config_.profile.costs;
-    module_ = std::make_unique<consensus::PaxosModule>(self_, std::move(pc), safety);
+    module_ = std::make_unique<consensus::PaxosModule>(self_, std::move(pc));
   } else {
     consensus::TwoThirdConfig tc = config_.two_third;
     if (tc.peers.empty()) tc.peers = config_.nodes;
     tc.profile.tier = config_.profile.tier;
     tc.profile.costs = config_.profile.costs;
-    module_ = std::make_unique<consensus::TwoThirdModule>(self_, std::move(tc), safety);
+    module_ = std::make_unique<consensus::TwoThirdModule>(self_, std::move(tc));
   }
 
   module_->set_on_decide([this](net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) {
@@ -264,7 +263,7 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
   // px-propose message; here we only pay control-path dispatch.
   config_.profile.charge_control(ctx);
   if (config_.tracer) {
-    config_.tracer->tob_propose(ctx.now(), self_, slot, batch.size());
+    config_.tracer->tob_propose(ctx.now(), self_, slot, batch.size(), batch.digest());
     if (config_.adaptive_batching) {
       config_.tracer->observe(adaptive_metric_, batch_limit_);
     }
@@ -274,7 +273,9 @@ void TobNode::maybe_propose(net::NodeContext& ctx) {
 }
 
 void TobNode::on_decide(net::NodeContext& ctx, Slot slot, const EncodedBatch& batch) {
-  if (config_.tracer) config_.tracer->tob_decide(ctx.now(), self_, slot, batch.size());
+  if (config_.tracer) {
+    config_.tracer->tob_decide(ctx.now(), self_, slot, batch.size(), batch.digest());
+  }
   // Shares the decided bytes, no copy. A slot below the frontier was already
   // delivered (or skipped by a rejoin) and would never be erased.
   if (slot >= next_deliver_slot_) decisions_[slot] = batch;
@@ -451,12 +452,11 @@ void TobNode::resume_from(const ResumePoint& rp) {
       });
 }
 
-TobService make_service(net::Transport& world, const TobConfig& config,
-                        consensus::SafetyRecorder* safety) {
+TobService make_service(net::Transport& world, const TobConfig& config) {
   TobService service;
   service.nodes.reserve(config.nodes.size());
   for (NodeId node : config.nodes) {
-    service.nodes.push_back(std::make_unique<TobNode>(world, node, config, safety));
+    service.nodes.push_back(std::make_unique<TobNode>(world, node, config));
   }
   return service;
 }

@@ -115,7 +115,7 @@ struct TobConfig {
 };
 
 /// One node of the broadcast service. Construct one per NodeId in
-/// TobConfig::nodes, all sharing the same config and SafetyRecorder.
+/// TobConfig::nodes, all sharing the same config.
 class TobNode {
  public:
   using LocalDeliverFn = std::function<void(net::NodeContext&, Slot, std::uint64_t, const Command&)>;
@@ -124,8 +124,7 @@ class TobNode {
   using LocalDeliverBatchFn =
       std::function<void(net::NodeContext&, Slot, std::uint64_t, const EncodedBatch&)>;
 
-  TobNode(net::Transport& world, NodeId self, TobConfig config,
-          consensus::SafetyRecorder* safety = nullptr);
+  TobNode(net::Transport& world, NodeId self, TobConfig config);
 
   /// Local subscriber (e.g. a co-located SMR database replica).
   void subscribe_local(LocalDeliverFn fn) { local_subscriber_ = std::move(fn); }
@@ -270,8 +269,7 @@ struct TobService {
   std::size_t size() const { return nodes.size(); }
 };
 
-TobService make_service(net::Transport& world, const TobConfig& config,
-                        consensus::SafetyRecorder* safety = nullptr);
+TobService make_service(net::Transport& world, const TobConfig& config);
 
 }  // namespace shadow::tob
 

@@ -2,8 +2,9 @@
 // campaigns against the simulated SMR cluster survive with zero checker
 // violations, the catch-and-minimize path works (a deliberately injected
 // ack-without-execution safety bug is caught by the durability checker and
-// shrunk to a single-event plan), and the specific schedules that once
-// wedged the cluster stay fixed.
+// shrunk to a single-event plan; one node's forged decision fails
+// consensus-agreement), and the specific schedules that once wedged the
+// cluster stay fixed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,6 +134,33 @@ TEST(ChaosCampaign, SeededSafetyBugIsCaughtAndMinimized) {
   EXPECT_TRUE(has_crash_event(minimized));
   // The minimized plan still reproduces.
   EXPECT_FALSE(run_plan(minimized, config).ok());
+}
+
+// The consensus invariants are live from the Paxos and TOB hooks through the
+// trace to the checker: a real run traces every decision's digest and
+// passes with consensus coverage, and changing one node's decide digest in
+// that trace fails the plan on consensus-agreement.
+TEST(ChaosCampaign, ForgedDecisionFailsConsensusAgreement) {
+  CampaignConfig config = small_config();
+  const Plan plan = make_plan(7, config.plan);
+  const PlanOutcome clean = run_plan(plan, config);
+  ASSERT_TRUE(clean.ok()) << clean.check.summary();
+  EXPECT_GT(clean.check.slots_checked, 0u);
+
+  config.saboteur = [](const Plan&, obs::Trace& trace) {
+    const auto decide = std::find_if(trace.events.begin(), trace.events.end(), [](const auto& e) {
+      return e.kind == obs::EventKind::kTobDecide;
+    });
+    ASSERT_NE(decide, trace.events.end());
+    decide->c ^= 1;
+  };
+  const PlanOutcome forged = run_plan(plan, config);
+  EXPECT_FALSE(forged.ok());
+  EXPECT_TRUE(std::any_of(forged.check.violations.begin(), forged.check.violations.end(),
+                          [](const obs::Violation& v) {
+                            return v.invariant == "consensus-agreement";
+                          }))
+      << forged.check.summary();
 }
 
 // Regression: these seeds once wedged the cluster forever — a crashed TOB

@@ -3,12 +3,14 @@
 // The paper proves safety in Nuprl; our substitution checks the same
 // invariants on every execution across many seeded schedules with crash and
 // partition injection (DESIGN.md §2). Each parameterized instance is one
-// random schedule; the SafetyRecorder's online checks throw on violation
-// and the end-of-run checks verify the global properties.
+// random schedule, traced and replayed through the offline checker
+// (agreement, validity, integrity and the Paxos acceptor invariants). The
+// checker's seeded-violation tests are in tests/obs/checker_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "common/consensus_check.hpp"
 #include "common/delivery_logs.hpp"
 #include "sim/world.hpp"
 #include "consensus/paxos.hpp"
@@ -34,14 +36,15 @@ TEST_P(ConsensusScheduleTest, SafetyHoldsUnderRandomSchedules) {
   const Schedule schedule = GetParam();
   Rng rng(schedule.seed);
   sim::World world(schedule.seed);
-  SafetyRecorder safety;
+  obs::Tracer tracer;
 
   tob::TobConfig config;
   config.protocol = schedule.protocol;
   for (std::size_t i = 0; i < schedule.nodes; ++i) {
     config.nodes.push_back(world.add_node("tob" + std::to_string(i)));
   }
-  tob::TobService service = tob::make_service(world, config, &safety);
+  shadow::testing::trace_consensus(config, tracer);
+  tob::TobService service = tob::make_service(world, config);
   std::vector<std::vector<Command>> delivered;
   shadow::testing::record_deliveries(service, delivered);
 
@@ -88,15 +91,8 @@ TEST_P(ConsensusScheduleTest, SafetyHoldsUnderRandomSchedules) {
 
   world.run_until(120000000);
 
-  // Safety: machine-checked.
-  EXPECT_TRUE(safety.check_agreement().ok) << safety.check_agreement().detail;
-  EXPECT_TRUE(safety.check_validity().ok) << safety.check_validity().detail;
-  EXPECT_TRUE(safety.check_integrity().ok);
-  if (schedule.protocol == tob::Protocol::kPaxos) {
-    const std::size_t quorum = schedule.nodes / 2 + 1;
-    EXPECT_TRUE(safety.check_chosen_stability(quorum).ok)
-        << safety.check_chosen_stability(quorum).detail;
-  }
+  // Safety: machine-checked from the trace.
+  EXPECT_TRUE(shadow::testing::consensus_checked(tracer));
 
   // Total order across the surviving nodes' delivery logs.
   std::vector<std::vector<Command>> logs;
@@ -142,40 +138,6 @@ INSTANTIATE_TEST_SUITE_P(RandomSchedules, ConsensusScheduleTest,
                          });
 
 // ---- targeted Paxos invariants -----------------------------------------------
-
-TEST(PaxosInvariants, PromiseMonotonicityEnforcedOnline) {
-  SafetyRecorder safety;
-  safety.on_promise(NodeId{1}, Ballot{3, NodeId{0}});
-  safety.on_promise(NodeId{1}, Ballot{5, NodeId{1}});  // ok: increases
-  // The Google disk-corruption bug of Sec. II-D: a promise going backwards.
-  EXPECT_THROW(safety.on_promise(NodeId{1}, Ballot{2, NodeId{0}}), InvariantViolation);
-}
-
-TEST(PaxosInvariants, AcceptBelowPromiseRejected) {
-  SafetyRecorder safety;
-  safety.on_promise(NodeId{1}, Ballot{5, NodeId{0}});
-  EXPECT_THROW(safety.on_accept(NodeId{1}, Ballot{3, NodeId{0}}, 0, Batch{}),
-               InvariantViolation);
-}
-
-TEST(PaxosInvariants, ConflictingDecisionCaught) {
-  SafetyRecorder safety;
-  const Batch a{Command{ClientId{1}, 1, "a"}};
-  const Batch b{Command{ClientId{1}, 2, "b"}};
-  safety.on_propose(0, a);
-  safety.on_propose(0, b);
-  safety.on_decide(NodeId{0}, 0, a);
-  EXPECT_THROW(safety.on_decide(NodeId{1}, 0, b), InvariantViolation);
-}
-
-TEST(PaxosInvariants, ValidityCatchesInventedCommands) {
-  SafetyRecorder safety;
-  const Batch proposed{Command{ClientId{1}, 1, "a"}};
-  const Batch invented{Command{ClientId{9}, 9, "ghost"}};
-  safety.on_propose(0, proposed);
-  safety.on_decide(NodeId{0}, 0, invented);
-  EXPECT_FALSE(safety.check_validity().ok);
-}
 
 TEST(TwoThirdInvariants, RequiresEnoughPeers) {
   TwoThirdConfig config;

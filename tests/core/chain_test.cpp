@@ -3,6 +3,7 @@
 // position via the TOB-agreed reconfiguration.
 #include <gtest/gtest.h>
 
+#include "common/consensus_check.hpp"
 #include "sim/world.hpp"
 #include "core/shadowdb.hpp"
 #include "workload/bank.hpp"
@@ -12,6 +13,7 @@ namespace {
 
 struct ChainFixture {
   sim::World world;
+  obs::Tracer tracer{{.record_messages = false}};
   ChainCluster cluster;
   workload::bank::BankConfig bank{500, 0};
   std::int64_t generated_total = 0;
@@ -19,9 +21,11 @@ struct ChainFixture {
   explicit ChainFixture(std::uint64_t seed = 1, std::size_t chain_len = 3,
                         net::Time suspect_timeout = 2000000)
       : world(seed) {
+    tracer.attach(world);
     auto registry = std::make_shared<workload::ProcedureRegistry>();
     workload::bank::register_procedures(*registry);
     ClusterOptions opts;
+    opts.tracer = &tracer;
     opts.registry = registry;
     opts.machines = chain_len + 1;
     opts.db_replicas = chain_len;
@@ -131,6 +135,7 @@ TEST_P(ChainCrashTest, RecoversFromCrashAtAnyPosition) {
     ++verified;
   }
   EXPECT_EQ(verified, 3u);  // two survivors + the activated spare
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 std::string position_name(const ::testing::TestParamInfo<std::size_t>& info) {

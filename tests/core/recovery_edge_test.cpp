@@ -3,6 +3,7 @@
 // vs snapshot selection, and recovery under continuous client load.
 #include <gtest/gtest.h>
 
+#include "common/consensus_check.hpp"
 #include "sim/world.hpp"
 #include "core/shadowdb.hpp"
 #include "workload/bank.hpp"
@@ -12,6 +13,7 @@ namespace {
 
 struct Fixture {
   sim::World world;
+  obs::Tracer tracer{{.record_messages = false}};
   PbrCluster cluster;
   workload::bank::BankConfig bank{600, 0};
   std::int64_t generated_total = 0;
@@ -19,9 +21,11 @@ struct Fixture {
 
   explicit Fixture(std::uint64_t seed, std::size_t replicas = 2, std::size_t spares = 2)
       : world(seed) {
+    tracer.attach(world);
     auto registry = std::make_shared<workload::ProcedureRegistry>();
     workload::bank::register_procedures(*registry);
     ClusterOptions opts;
+    opts.tracer = &tracer;
     opts.registry = registry;
     opts.machines = replicas + spares;
     opts.db_replicas = replicas;
@@ -74,6 +78,7 @@ TEST(RecoveryEdge, SecondCrashAfterRecoveryPreservesDurability) {
   EXPECT_EQ(workload::bank::total_balance(fx.cluster.replicas[2]->engine()),
             fx.expected_total());
   EXPECT_EQ(fx.cluster.replicas[2]->state_digest(), fx.cluster.replicas[3]->state_digest());
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 TEST(RecoveryEdge, SecondCrashDuringRecoveryStillRestoresAvailability) {
@@ -101,6 +106,7 @@ TEST(RecoveryEdge, SecondCrashDuringRecoveryStillRestoresAvailability) {
   // The new configuration's members agree with each other (state-agreement
   // holds per configuration even when durability across >f failures can't).
   EXPECT_EQ(fx.cluster.replicas[2]->state_digest(), fx.cluster.replicas[3]->state_digest());
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 TEST(RecoveryEdge, CatchupUsedWhenCacheCovers) {
@@ -123,6 +129,7 @@ TEST(RecoveryEdge, CatchupUsedWhenCacheCovers) {
   ASSERT_TRUE(fx.client->done());
   EXPECT_GT(counter.catchups, 0);
   EXPECT_EQ(counter.snapshots, 0) << "cache covered the gap; no snapshot needed";
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 PbrCluster small_cache_pbr(sim::World& world, ClusterOptions opts) {
@@ -198,7 +205,9 @@ SpareRecovery recover_spare_by_snapshot(MakeCluster make_cluster, Damage damage,
   auto registry = std::make_shared<workload::ProcedureRegistry>();
   workload::bank::register_procedures(*registry);
   const workload::bank::BankConfig bank{600, 0};
+  obs::Tracer tracer({.record_messages = false});
   ClusterOptions opts;
+  opts.tracer = &tracer;
   opts.registry = registry;
   opts.machines = 3;
   opts.loader = [&bank](db::Engine& e) { workload::bank::load(e, bank); };
@@ -224,6 +233,7 @@ SpareRecovery recover_spare_by_snapshot(MakeCluster make_cluster, Damage damage,
   world.run_until(600000000);
   EXPECT_TRUE(client.done()) << "committed " << client.committed();
   EXPECT_EQ(cluster.replicas[1]->state_digest(), cluster.replicas[2]->state_digest());
+  EXPECT_TRUE(shadow::testing::consensus_checked(tracer));
   return {watch.streams, watch.first_stream_frames};
 }
 
@@ -302,7 +312,9 @@ TEST(RecoveryEdge, OverlapResumesWhileSnapshotInstalls) {
   auto registry = std::make_shared<workload::ProcedureRegistry>();
   workload::bank::register_procedures(*registry);
   const workload::bank::BankConfig bank{10000, 0};
+  obs::Tracer tracer({.record_messages = false});
   ClusterOptions opts;
+  opts.tracer = &tracer;
   opts.registry = registry;
   opts.machines = 4;
   opts.db_replicas = 3;
@@ -351,6 +363,7 @@ TEST(RecoveryEdge, OverlapResumesWhileSnapshotInstalls) {
     EXPECT_EQ(workload::bank::total_balance(cluster.replicas[i]->engine()),
               1000 * bank.accounts + generated_total);
   }
+  EXPECT_TRUE(shadow::testing::consensus_checked(tracer));
 }
 
 TEST(RecoveryEdge, DeposedPrimaryStopsAnsweringAfterFalseSuspicion) {
@@ -379,6 +392,7 @@ TEST(RecoveryEdge, DeposedPrimaryStopsAnsweringAfterFalseSuspicion) {
       EXPECT_EQ(workload::bank::total_balance(replica->engine()), fx.expected_total());
     }
   }
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 }  // namespace

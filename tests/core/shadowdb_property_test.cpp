@@ -5,11 +5,12 @@
 // answered transaction survives (Durability, via balance conservation),
 // replicas of the final configuration agree (State-agreement, via digests
 // across *diverse* engines), execution is at-most-once despite retries, and
-// the consensus layer's safety held throughout.
+// the run's trace passes the offline checker, consensus safety included.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "common/consensus_check.hpp"
 #include "sim/world.hpp"
 #include "core/shadowdb.hpp"
 #include "workload/bank.hpp"
@@ -33,7 +34,9 @@ TEST_P(ShadowDbScheduleTest, PropertiesHoldAcrossCrashSchedules) {
   workload::bank::register_procedures(*registry);
   const workload::bank::BankConfig bank{800, 0};
 
+  obs::Tracer tracer({.record_messages = false});
   ClusterOptions opts;
+  opts.tracer = &tracer;
   opts.registry = registry;
   opts.loader = [&bank](db::Engine& e) { workload::bank::load(e, bank); };
   // Diverse engines on purpose: digests must agree across implementations.
@@ -58,6 +61,7 @@ TEST_P(ShadowDbScheduleTest, PropertiesHoldAcrossCrashSchedules) {
   DbClient::Options copts;
   copts.txn_limit = 260;
   copts.retry_timeout = 700000;
+  copts.tracer = &tracer;
   if (scenario.smr) {
     copts.mode = DbClient::Mode::kTob;
     copts.targets = smr->broadcast_targets();
@@ -84,9 +88,7 @@ TEST_P(ShadowDbScheduleTest, PropertiesHoldAcrossCrashSchedules) {
   EXPECT_EQ(client.aborted(), 0u);
 
   // Consensus safety held throughout the run (recovery used the TOB).
-  const auto& safety = scenario.smr ? smr->safety : pbr->safety;
-  EXPECT_TRUE(safety->check_agreement().ok) << safety->check_agreement().detail;
-  EXPECT_TRUE(safety->check_validity().ok) << safety->check_validity().detail;
+  EXPECT_TRUE(shadow::testing::consensus_checked(tracer));
 
   // Identify the final configuration's live members.
   std::vector<db::Engine*> survivors;

@@ -493,6 +493,7 @@ TEST_F(TcpSmrCrashRestartTest, RestartedProcessRejoinsViaSnapshotMidLoad) {
   EXPECT_TRUE(check.ok()) << check.summary();
   EXPECT_EQ(check.committed_txns_checked, kTxns);
   EXPECT_EQ(check.replicas_checked, kServerHosts);
+  EXPECT_GT(check.slots_checked, 0u);
 }
 
 }  // namespace

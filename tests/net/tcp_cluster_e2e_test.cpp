@@ -195,7 +195,8 @@ TEST_P(TcpClusterE2eTest, BankWorkloadCommitsAndPassesTheChecker) {
   }
 
   // Merge the per-process traces and replay them through the offline
-  // checker: total order, at-most-once, durability, strict serializability.
+  // checker: total order, at-most-once, durability, strict serializability,
+  // and consensus safety over every process's acceptor and learner.
   std::vector<obs::Trace> traces;
   for (auto& p : processes_) traces.push_back(p.tracer->snapshot());
   const obs::Trace merged = obs::merge_traces(traces);
@@ -203,6 +204,11 @@ TEST_P(TcpClusterE2eTest, BankWorkloadCommitsAndPassesTheChecker) {
   EXPECT_TRUE(check.ok()) << check.summary();
   EXPECT_EQ(check.committed_txns_checked, kTxns);
   EXPECT_EQ(check.replicas_checked, kServerHosts);
+  // PBR orders only reconfigurations through the TOB: a clean run decides
+  // nothing. SMR orders every transaction.
+  if (!pbr()) {
+    EXPECT_GT(check.slots_checked, 0u) << check.summary();
+  }
 
   // Encode-once acceptance over real sockets: each batch was encoded at most
   // once. In SMR mode every transaction rides a consensus batch (client
@@ -357,6 +363,7 @@ TEST(TcpShardedClusterE2e, MixedWorkloadCommitsAndPassesTheChecker) {
   EXPECT_TRUE(check.ok()) << check.summary();
   EXPECT_EQ(check.committed_txns_checked, kShardTxns);
   EXPECT_EQ(check.replicas_checked, kServerHosts * kShards);
+  EXPECT_GT(check.slots_checked, 0u) << check.summary();
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, TcpClusterE2eTest,

@@ -1,7 +1,7 @@
 // Unit tests for the offline trace checker: a clean trace passes with
 // non-vacuous coverage, and each seeded invariant violation — total-order
 // divergence, double execution, strict-serializability inversion, lost
-// durability — is detected.
+// durability, and each consensus invariant — is detected under its name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,6 +69,33 @@ struct TraceBuilder {
   }
 
   void crash(net::Time t, NodeId node) { add(t, EventKind::kCrash, node); }
+
+  void propose(net::Time t, NodeId node, Slot slot, std::uint64_t digest) {
+    TraceEvent& e = add(t, EventKind::kTobPropose, node);
+    e.a = slot;
+    e.c = digest;
+  }
+
+  void decide(net::Time t, NodeId node, Slot slot, std::uint64_t digest) {
+    TraceEvent& e = add(t, EventKind::kTobDecide, node);
+    e.a = slot;
+    e.c = digest;
+  }
+
+  /// A promise to ballot (round, leader) by one of three acceptors.
+  void promise(net::Time t, NodeId acceptor, std::uint64_t round, NodeId leader) {
+    TraceEvent& e = add(t, EventKind::kPromise, acceptor);
+    e.a = ballot_key(round, leader);
+    e.b = 3;
+  }
+
+  void accept(net::Time t, NodeId acceptor, Slot slot, std::uint64_t round, NodeId leader,
+              std::uint64_t digest) {
+    TraceEvent& e = add(t, EventKind::kAccept, acceptor);
+    e.a = slot;
+    e.b = ballot_key(round, leader);
+    e.c = digest;
+  }
 
   void group_info(NodeId node, std::uint64_t group) {
     TraceEvent& e = add(0, EventKind::kGroupInfo, node);
@@ -539,6 +566,124 @@ TEST(Checker, ReadOnlyTransactionsExemptFromDurability) {
   b.begin(40, ClientId{2}, 1);  // a write with no surviving execution
   b.ack(50, ClientId{2}, 1);
   EXPECT_TRUE(has_violation(check_trace(b.trace), "durability"));
+}
+
+// ---- consensus invariants ----------------------------------------------------
+
+/// One Paxos slot end to end: leader n0 proposes, all three acceptors
+/// promise and accept its ballot, every learner decides the proposed batch.
+TraceBuilder one_clean_slot() {
+  TraceBuilder b;
+  b.propose(10, NodeId{0}, 0, 0xa);
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    b.promise(20, NodeId{n}, 1, NodeId{0});
+    b.accept(30, NodeId{n}, 0, 1, NodeId{0}, 0xa);
+  }
+  for (std::uint32_t n = 0; n < 3; ++n) b.decide(40, NodeId{n}, 0, 0xa);
+  return b;
+}
+
+TEST(CheckerConsensus, CleanSlotPassesWithSlotCoverage) {
+  const CheckResult result = check_trace(one_clean_slot().trace);
+  EXPECT_TRUE(result.ok()) << result.summary();
+  EXPECT_EQ(result.slots_checked, 1u);
+  EXPECT_NE(result.summary().find("1 consensus slots"), std::string::npos);
+  EXPECT_EQ(check_trace(Trace{}).slots_checked, 0u);
+}
+
+/// The Google disk-corruption bug of Sec. II-D: a promise going backwards.
+TEST(CheckerConsensus, DetectsPromiseDecrease) {
+  TraceBuilder b;
+  b.promise(10, NodeId{1}, 3, NodeId{0});
+  b.promise(20, NodeId{1}, 5, NodeId{1});  // ok: increases
+  EXPECT_TRUE(check_trace(b.trace).ok());
+  b.promise(30, NodeId{1}, 2, NodeId{0});
+  EXPECT_TRUE(has_violation(check_trace(b.trace), "promise-monotonic"));
+}
+
+TEST(CheckerConsensus, DetectsAcceptBelowPromise) {
+  TraceBuilder b;
+  b.promise(10, NodeId{1}, 5, NodeId{0});
+  b.accept(20, NodeId{1}, 0, 3, NodeId{0}, 0xa);
+  EXPECT_TRUE(has_violation(check_trace(b.trace), "accept-above-promise"));
+}
+
+TEST(CheckerConsensus, DetectsConflictingDecisions) {
+  TraceBuilder b;
+  b.propose(10, NodeId{0}, 0, 0xa);
+  b.propose(11, NodeId{1}, 0, 0xb);
+  b.decide(20, NodeId{0}, 0, 0xa);
+  b.decide(21, NodeId{1}, 0, 0xb);
+  const CheckResult result = check_trace(b.trace);
+  EXPECT_TRUE(has_violation(result, "consensus-agreement")) << result.summary();
+  EXPECT_FALSE(has_violation(result, "consensus-validity")) << "both values were proposed";
+}
+
+TEST(CheckerConsensus, DetectsInventedDecidedValue) {
+  TraceBuilder b;
+  b.propose(10, NodeId{0}, 0, 0xa);
+  b.decide(20, NodeId{0}, 0, 0xdead);
+  EXPECT_TRUE(has_violation(check_trace(b.trace), "consensus-validity"));
+
+  TraceBuilder unproposed;  // a slot whose proposer's trace was lost
+  unproposed.decide(20, NodeId{0}, 0, 0xdead);
+  EXPECT_TRUE(check_trace(unproposed.trace).ok());
+}
+
+TEST(CheckerConsensus, DetectsSecondDecisionInOneIncarnation) {
+  TraceBuilder b = one_clean_slot();
+  b.decide(50, NodeId{1}, 0, 0xa);  // the same value, but decided twice
+  EXPECT_TRUE(has_violation(check_trace(b.trace), "consensus-integrity"));
+
+  TraceBuilder restarted = one_clean_slot();
+  restarted.crash(50, NodeId{1});
+  restarted.decide(60, NodeId{1}, 0, 0xa);  // a new incarnation learns it again
+  EXPECT_TRUE(check_trace(restarted.trace).ok());
+}
+
+TEST(CheckerConsensus, DetectsChosenValueChangedByHigherBallot) {
+  TraceBuilder b;
+  b.accept(10, NodeId{0}, 0, 1, NodeId{0}, 0xa);
+  b.accept(11, NodeId{1}, 0, 1, NodeId{0}, 0xa);  // a quorum: 0xa is chosen
+  b.accept(20, NodeId{2}, 0, 2, NodeId{1}, 0xb);
+  b.promise(5, NodeId{0}, 1, NodeId{0});  // records the synod size (3)
+  EXPECT_TRUE(has_violation(check_trace(b.trace), "chosen-stability"));
+
+  TraceBuilder minority;  // one acceptor is no quorum: 0xa was never chosen
+  minority.promise(5, NodeId{0}, 1, NodeId{0});
+  minority.accept(10, NodeId{0}, 0, 1, NodeId{0}, 0xa);
+  minority.accept(20, NodeId{1}, 0, 2, NodeId{1}, 0xb);
+  minority.accept(21, NodeId{2}, 0, 2, NodeId{1}, 0xb);
+  EXPECT_TRUE(check_trace(minority.trace).ok());
+}
+
+/// Amnesia across restarts is outside these invariants: an acceptor's
+/// promise may fall across its crash, never within one incarnation.
+TEST(CheckerConsensus, PromiseMayFallOnlyAcrossAnIncarnation) {
+  TraceBuilder b;
+  b.promise(10, NodeId{1}, 5, NodeId{1});
+  b.crash(20, NodeId{1});
+  b.promise(30, NodeId{1}, 2, NodeId{0});
+  EXPECT_TRUE(check_trace(b.trace).ok()) << check_trace(b.trace).summary();
+
+  TraceBuilder no_crash;
+  no_crash.promise(10, NodeId{1}, 5, NodeId{1});
+  no_crash.promise(30, NodeId{1}, 2, NodeId{0});
+  EXPECT_TRUE(has_violation(check_trace(no_crash.trace), "promise-monotonic"));
+
+  // A new restart epoch, or the next trace generation of a merged run,
+  // starts a new incarnation as a crash does.
+  TraceBuilder epochs;
+  epochs.group_info(NodeId{1}, 0);  // epoch 0
+  epochs.promise(10, NodeId{1}, 5, NodeId{1});
+  epochs.add(20, EventKind::kGroupInfo, NodeId{1}).b = 1;
+  epochs.promise(30, NodeId{1}, 2, NodeId{0});
+  EXPECT_TRUE(check_trace(epochs.trace).ok());
+  TraceBuilder first;
+  first.promise(10, NodeId{1}, 5, NodeId{1});
+  TraceBuilder second;
+  second.promise(30, NodeId{1}, 2, NodeId{0});
+  EXPECT_TRUE(check_trace(merge_traces({first.trace, second.trace})).ok());
 }
 
 }  // namespace

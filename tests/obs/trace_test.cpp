@@ -16,7 +16,7 @@ namespace {
 TEST(Tracer, RingOverflowKeepsNewestEventsOldestFirst) {
   Tracer tracer({.capacity = 4, .record_messages = true});
   for (std::uint64_t i = 1; i <= 10; ++i) {
-    tracer.tob_decide(/*t=*/i * 100, NodeId{1}, /*slot=*/i, /*batch_size=*/1);
+    tracer.tob_decide(/*t=*/i * 100, NodeId{1}, /*slot=*/i, /*batch_size=*/1, /*digest=*/i);
   }
   EXPECT_EQ(tracer.recorded(), 10u);
   EXPECT_EQ(tracer.dropped(), 6u);
@@ -56,6 +56,8 @@ TEST(Trace, JsonlRoundTripPreservesEventsAndLabels) {
   tracer.ballot(70, NodeId{3}, /*round=*/2, NodeId{4}, BallotPhase::kPreempted);
   tracer.state_transfer(80, NodeId{5}, StatePhase::kBatch, /*bytes=*/51200, NodeId{3});
   tracer.recover(90, NodeId{5}, /*up_to_order=*/17);
+  tracer.promise(95, NodeId{3}, /*round=*/2, NodeId{4}, /*acceptors=*/3);
+  tracer.accept(96, NodeId{3}, /*slot=*/8, /*round=*/2, NodeId{4}, /*digest=*/~0ull);
 
   const Trace original = tracer.snapshot();
   std::ostringstream out;
@@ -80,6 +82,8 @@ TEST(Trace, JsonlRoundTripPreservesEventsAndLabels) {
   }
   // The kUnordered sentinel survives the round trip exactly.
   EXPECT_EQ(parsed.events[2].a, kUnordered);
+  EXPECT_EQ(parsed.events.back().kind, EventKind::kAccept);
+  EXPECT_EQ(parsed.events.back().b, ballot_key(2, NodeId{4}));
   EXPECT_EQ(parsed.label_of(parsed.events[0]), "deposit");
 }
 
@@ -111,9 +115,9 @@ TEST(Trace, ParseRejectsMalformedLines) {
 
 TEST(Tracer, DerivesComponentMetricsFromHooks) {
   Tracer tracer;
-  tracer.tob_propose(100, NodeId{0}, /*slot=*/0, /*batch_size=*/4);
-  tracer.tob_decide(350, NodeId{0}, /*slot=*/0, /*batch_size=*/4);
-  tracer.tob_decide(360, NodeId{1}, /*slot=*/0, /*batch_size=*/4);  // same slot, other learner
+  tracer.tob_propose(100, NodeId{0}, /*slot=*/0, /*batch_size=*/4, /*digest=*/0xa);
+  tracer.tob_decide(350, NodeId{0}, /*slot=*/0, /*batch_size=*/4, /*digest=*/0xa);
+  tracer.tob_decide(360, NodeId{1}, /*slot=*/0, /*batch_size=*/4, 0xa);  // other learner
   tracer.txn_begin(1000, NodeId{9}, ClientId{1}, 1, "deposit");
   tracer.txn_ack(1500, NodeId{9}, ClientId{1}, 1, /*committed=*/true);
   tracer.txn_execute(1200, NodeId{2}, ClientId{1}, 1, 0, /*duplicate=*/true,
@@ -130,6 +134,7 @@ TEST(Tracer, DerivesComponentMetricsFromHooks) {
   // End-to-end transaction latency from begin to committed ack.
   ASSERT_EQ(m.histogram("txn.latency_us").count(), 1u);
   EXPECT_EQ(m.histogram("txn.latency_us").sum(), 500u);
+  EXPECT_EQ(m.histogram("txn.latency_us").percentile(0.0), 500u);  // the minimum
   EXPECT_EQ(m.histogram("tob.batch_size").max(), 4u);
   // The formatted block mentions every touched metric.
   const std::string block = m.format();

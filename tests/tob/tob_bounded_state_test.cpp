@@ -9,11 +9,10 @@
 
 #include <algorithm>
 
+#include "common/consensus_check.hpp"
 #include "common/delivery_logs.hpp"
 #include "consensus/paxos.hpp"
-#include "core/group.hpp"
 #include "loe/properties.hpp"
-#include "net/tcp_transport.hpp"
 #include "sim/world.hpp"
 #include "tob/tob.hpp"
 
@@ -24,7 +23,7 @@ namespace {
 
 struct WindowFixture {
   sim::World world{3};
-  consensus::SafetyRecorder safety;
+  obs::Tracer tracer;
   std::vector<NodeId> nodes;
   NodeId client;
   TobService service;
@@ -35,7 +34,8 @@ struct WindowFixture {
     TobConfig config;
     for (int i = 0; i < 3; ++i) nodes.push_back(world.add_node("tob" + std::to_string(i)));
     config.nodes = nodes;
-    service = make_service(world, config, &safety);
+    shadow::testing::trace_consensus(config, tracer);
+    service = make_service(world, config);
     shadow::testing::record_deliveries(service, delivered);
     client = world.add_node("client");
     world.set_handler(client, [this](net::NodeContext&, const sim::Message& msg) {
@@ -89,6 +89,7 @@ TEST(TobDedupWindow, OutOfOrderSeqsDeliverOnceAndTheWindowShrinksBack) {
     EXPECT_EQ(fx.service[n].retained_decisions(), 0u) << "delivered slots are forgotten";
   }
   EXPECT_TRUE(loe::check_prefix_consistency(fx.delivered).ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 TEST(TobDedupWindow, RejoinFloorAndControlKeysFeedTheSameWindow) {
@@ -132,6 +133,7 @@ TEST(TobDedupWindow, RejoinFloorAndControlKeysFeedTheSameWindow) {
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_EQ(fx.service[n].dedup_runs(), n == 2 ? 3u : 2u) << "client 1 is one run: [0, 7)";
   }
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 // -- retained state under load ----------------------------------------------------
@@ -142,7 +144,7 @@ constexpr std::uint32_t kClients = 8;
 /// frontend, with per-node retained-state gauges.
 struct LoadFixture {
   sim::World world{11};
-  consensus::SafetyRecorder safety;
+  obs::Tracer tracer;
   TobConfig config;
   TobService service;
   std::vector<std::vector<Command>> delivered;
@@ -152,7 +154,8 @@ struct LoadFixture {
 
   LoadFixture() {
     for (int i = 0; i < 3; ++i) config.nodes.push_back(world.add_node("tob" + std::to_string(i)));
-    service = make_service(world, config, &safety);
+    shadow::testing::trace_consensus(config, tracer);
+    service = make_service(world, config);
     shadow::testing::record_deliveries(service, delivered);
     client = world.add_node("client");
     world.set_handler(client, [](net::NodeContext&, const sim::Message&) {});
@@ -213,8 +216,7 @@ TEST(TobBoundedState, RetainedStateStaysBoundedUnderLoad) {
   }
   EXPECT_LE(peak, kRetainedBound) << "retained ordering state grows with history";
   EXPECT_TRUE(loe::check_prefix_consistency(fx.delivered).ok);
-  EXPECT_TRUE(fx.safety.check_agreement().ok) << fx.safety.check_agreement().detail;
-  EXPECT_TRUE(fx.safety.check_chosen_stability(2).ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 TEST(TobBoundedState, PartitionedPeerHoldsTheStablePrefixBackThenCatchesUp) {
@@ -247,8 +249,7 @@ TEST(TobBoundedState, PartitionedPeerHoldsTheStablePrefixBackThenCatchesUp) {
   EXPECT_TRUE(loe::check_prefix_consistency(fx.delivered).ok);
   for (const auto& log : fx.delivered) EXPECT_TRUE(loe::check_no_duplicates(log).ok);
   EXPECT_LE(fx.max_retained(), kRetainedBound) << "state was not released after the heal";
-  EXPECT_TRUE(fx.safety.check_agreement().ok) << fx.safety.check_agreement().detail;
-  EXPECT_TRUE(fx.safety.check_chosen_stability(2).ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 TEST(TobBoundedState, NewLeaderPhaseOneCarriesOnlyTheInFlightWindow) {
@@ -289,30 +290,7 @@ TEST(TobBoundedState, NewLeaderPhaseOneCarriesOnlyTheInFlightWindow) {
   EXPECT_EQ(survivors[0].size(), fx.sent);
   EXPECT_EQ(survivors[1].size(), fx.sent);
   EXPECT_TRUE(loe::check_prefix_consistency(fx.delivered).ok);
-  EXPECT_TRUE(fx.safety.check_agreement().ok) << fx.safety.check_agreement().detail;
-  EXPECT_TRUE(fx.safety.check_validity().ok) << fx.safety.check_validity().detail;
-  EXPECT_TRUE(fx.safety.check_chosen_stability(2).ok)
-      << fx.safety.check_chosen_stability(2).detail;
-}
-
-// -- the safety recorder lives only where it can check agreement -------------------
-
-TEST(GroupSafety, RecorderOnlyWhenEveryTobNodeIsLocal) {
-  sim::World world(1);
-  std::vector<NodeId> sim_nodes;
-  for (int i = 0; i < 3; ++i) sim_nodes.push_back(world.add_node("tob" + std::to_string(i)));
-  EXPECT_NE(core::detail::make_group_safety(world, sim_nodes), nullptr);
-
-  net::TcpOptions options;
-  options.local_host = 0;
-  options.hosts.resize(3);
-  net::TcpTransport tcp(options);
-  std::vector<NodeId> tcp_nodes;
-  for (int i = 0; i < 3; ++i) {
-    tcp_nodes.push_back(tcp.add_node("tob" + std::to_string(i), tcp.add_host()));
-  }
-  EXPECT_EQ(core::detail::make_group_safety(tcp, tcp_nodes), nullptr)
-      << "a TCP process sees one acceptor and cannot check agreement";
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/batch_copies.hpp"
+#include "common/consensus_check.hpp"
 #include "common/delivery_logs.hpp"
 #include "consensus/paxos.hpp"
 #include "loe/properties.hpp"
@@ -15,7 +16,7 @@ namespace {
 
 struct RelayFixture {
   sim::World world;
-  consensus::SafetyRecorder safety;
+  obs::Tracer tracer;
   TobConfig config;
   TobService service;
   std::vector<std::vector<Command>> logs;  // per node, via subscribe_local
@@ -26,7 +27,8 @@ struct RelayFixture {
     config.protocol = Protocol::kPaxos;
     for (int i = 0; i < 3; ++i) config.nodes.push_back(world.add_node("tob" + std::to_string(i)));
     config.relay_timeout = 300000;  // quick fallback for the crash test
-    service = make_service(world, config, &safety);
+    shadow::testing::trace_consensus(config, tracer);
+    service = make_service(world, config);
     shadow::testing::record_deliveries(service, logs);
     client = world.add_node("client");
     world.set_handler(client, [this](net::NodeContext&, const sim::Message& msg) {
@@ -83,8 +85,7 @@ TEST(TobRelay, RelayToDeadLeaderFallsBackToLocalProposal) {
   EXPECT_EQ(fx.acks.size(), 6u);
   EXPECT_EQ(fx.service.nodes[1]->delivered_count(), 6u);
   EXPECT_EQ(fx.service.nodes[2]->delivered_count(), 6u);
-  EXPECT_TRUE(fx.safety.check_agreement().ok);
-  EXPECT_TRUE(fx.safety.check_validity().ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 TEST(TobRelay, RelayForwardsTheOriginalEncodedBytes) {
@@ -188,7 +189,14 @@ TEST(TobRelay, ReproposalAfterLeaderChangeReusesTheOriginalBytes) {
   ASSERT_EQ(fx.logs[1].size(), 2u);
   EXPECT_EQ(fx.logs[1][0], cmd1) << "the re-proposed slot must deliver first";
   EXPECT_EQ(fx.logs[2], fx.logs[1]);
-  EXPECT_TRUE(fx.safety.check_agreement().ok);
+  // The injected 2a stands for a proposal whose trace died with its
+  // proposer: agreement holds, and validity reports the one thing the trace
+  // cannot show, a decided value no traced node proposed for slot 0.
+  const obs::CheckResult check = obs::check_trace(fx.tracer.snapshot());
+  EXPECT_GT(check.slots_checked, 0u);
+  for (const obs::Violation& v : check.violations) {
+    EXPECT_EQ(v.invariant, "consensus-validity") << check.summary();
+  }
   EXPECT_GT(capture.slot0_reproposals, 0)
       << "no survivor re-proposed slot 0 with the original bytes";
 

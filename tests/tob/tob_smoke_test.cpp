@@ -2,6 +2,7 @@
 // consensus modules: delivery, total order, acks, safety properties.
 #include <gtest/gtest.h>
 
+#include "common/consensus_check.hpp"
 #include "common/delivery_logs.hpp"
 #include "loe/properties.hpp"
 #include "sim/world.hpp"
@@ -12,7 +13,7 @@ namespace {
 
 struct Fixture {
   sim::World world;
-  consensus::SafetyRecorder safety;
+  obs::Tracer tracer;
   std::vector<NodeId> service_nodes;
   NodeId client_node;
   TobService service;
@@ -30,7 +31,8 @@ struct Fixture {
     world.set_handler(client_node, [this](net::NodeContext&, const sim::Message& msg) {
       if (msg.header == kAckHeader) acks.push_back(sim::msg_body<AckBody>(msg));
     });
-    service = make_service(world, config, &safety);
+    shadow::testing::trace_consensus(config, tracer);
+    service = make_service(world, config);
     shadow::testing::record_deliveries(service, delivered);
   }
 
@@ -65,9 +67,7 @@ TEST(TobPaxos, ManyBroadcastsTotallyOrdered) {
   for (const auto& log : logs) EXPECT_EQ(log.size(), 60u);
   EXPECT_TRUE(loe::check_prefix_consistency(logs).ok);
   for (const auto& log : logs) EXPECT_TRUE(loe::check_no_duplicates(log).ok);
-  EXPECT_TRUE(fx.safety.check_agreement().ok);
-  EXPECT_TRUE(fx.safety.check_validity().ok);
-  EXPECT_TRUE(fx.safety.check_chosen_stability(2).ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
   EXPECT_EQ(fx.acks.size(), 60u);
 }
 
@@ -84,7 +84,7 @@ TEST(TobPaxos, SurvivesMinorityCrash) {
   auto logs = fx.logs();
   logs.pop_back();  // the crashed node's log is a (shorter) prefix
   EXPECT_TRUE(loe::check_prefix_consistency(fx.logs()).ok);
-  EXPECT_TRUE(fx.safety.check_agreement().ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
   EXPECT_EQ(fx.acks.size(), 20u);
 }
 
@@ -99,8 +99,7 @@ TEST(TobPaxos, LeaderCrashFailsOver) {
   fx.world.run_until(60000000);
   EXPECT_EQ(fx.service.nodes[1]->delivered_count(), 10u);
   EXPECT_EQ(fx.service.nodes[2]->delivered_count(), 10u);
-  EXPECT_TRUE(fx.safety.check_agreement().ok);
-  EXPECT_TRUE(fx.safety.check_validity().ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 TEST(TobTwoThird, BroadcastsDeliverTotallyOrdered) {
@@ -109,8 +108,7 @@ TEST(TobTwoThird, BroadcastsDeliverTotallyOrdered) {
   fx.world.run_until(30000000);
   for (const auto& node : fx.service.nodes) EXPECT_EQ(node->delivered_count(), 40u);
   EXPECT_TRUE(loe::check_prefix_consistency(fx.logs()).ok);
-  EXPECT_TRUE(fx.safety.check_agreement().ok);
-  EXPECT_TRUE(fx.safety.check_validity().ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
   EXPECT_EQ(fx.acks.size(), 40u);
 }
 
@@ -124,7 +122,7 @@ TEST(TobTwoThird, SurvivesOneCrashOfFour) {
   EXPECT_EQ(fx.service.nodes[0]->delivered_count(), 20u);
   EXPECT_EQ(fx.service.nodes[1]->delivered_count(), 20u);
   EXPECT_EQ(fx.service.nodes[2]->delivered_count(), 20u);
-  EXPECT_TRUE(fx.safety.check_agreement().ok);
+  EXPECT_TRUE(shadow::testing::consensus_checked(fx.tracer));
 }
 
 }  // namespace
